@@ -8,8 +8,8 @@ inequalities with arbitrary-precision integer arithmetic, including the
 cross-exponentiation certificates that separate subsequence limits.
 """
 
-from .counting import (CountJob, count_oracle, count_pruned, count_verified,
-                       free_permutations, theta)
+from .counting import (CountJob, count_dp, count_oracle, count_pruned,
+                       count_verified, free_permutations, theta)
 from .dataio import (BFileEntry, IngestResult, emit_figure_data, ingest_bfile,
                      load_table, parse_bfile, save_table)
 from .doubling import (EVEN_BLOCK_FIRST, ODD_BLOCK_FIRST, count_via_doubling,

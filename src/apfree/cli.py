@@ -45,7 +45,7 @@ def cmd_count(args) -> int:
     if args.oracle:
         value = counting.count_oracle(args.n)
     else:
-        value = counting.count_pruned(CountJob(args.n, args.jobs, depth, args.node_budget))
+        value = counting.count_dp(CountJob(args.n, args.jobs, depth, args.node_budget))
     known = tbl.get(args.n)
     if known is not None and known != value:
         print(f"error: computed {value} for n={args.n} but table has {known} "
@@ -219,9 +219,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--oracle", action="store_true",
                    help="use the factorial enumeration oracle instead")
-    p.add_argument("--jobs", type=int, default=1, metavar="N")
-    p.add_argument("--split-depth", type=int, default=None, metavar="D")
-    p.add_argument("--node-budget", type=int, default=None, metavar="B")
+    p.add_argument("--jobs", type=int, default=1, metavar="N",
+                   help="accepted for compatibility; the subset DP runs in one "
+                        "process and the count does not depend on it")
+    p.add_argument("--split-depth", type=int, default=None, metavar="D",
+                   help="accepted for compatibility (0..n); the count does not "
+                        "depend on it")
+    p.add_argument("--node-budget", type=int, default=None, metavar="B",
+                   help="fail with exit 2 once more than B DP states have been "
+                        "expanded, instead of counting on")
     p.add_argument("--cache", default=None, metavar="PATH")
     p.set_defaults(func=cmd_count)
 

@@ -1,24 +1,33 @@
 """Exact counting of 3AP-free permutations.
 
-Two independent routes are provided. The oracle enumerates all n!
-permutations and filters with the quadratic 3AP test; it is the ground
-truth for small n. The pruned counter builds permutations left to right
-and never extends a prefix with a value that would close a 3AP as the
-rightmost element, so every completed sequence is 3AP-free by
-construction and none is missed.
+Three independent routes are provided. The subset DP is the default: it
+sums path counts over the *sets* of values placed so far and reaches
+n = 64 from first principles. The pruned backtracker builds
+permutations left to right and never extends a prefix with a value that
+would close a 3AP as the rightmost element, so every completed sequence
+is 3AP-free by construction and none is missed. The oracle enumerates
+all n! permutations and filters with the quadratic 3AP test; it is the
+ground truth for small n. Tests compare the three routes.
 
-The pruning state is a bitmask of still-placeable values. Once a pair
-(u at position i, w at position j > i) exists, the value 2w - u is dead
-for every later position, so the allowed set only shrinks along a search
-path and can be passed down functionally. Branches whose allowed set is
-already smaller than the number of open positions are abandoned early;
-this does not change the count, since such branches admit no completion.
+The backtracker's pruning state is a bitmask of still-placeable values.
+Once a pair (u at position i, w at position j > i) exists, the value
+2w - u is dead for every later position, so the allowed set only shrinks
+along a search path and can be passed down functionally. Branches whose
+allowed set is already smaller than the number of open positions are
+abandoned early; this does not change the count, since such branches
+admit no completion.
+
+That prune fires exactly when some unplaced value is dead, so on every
+surviving path the allowed set equals the unplaced set, and the number
+of ways to finish a prefix depends only on which values it holds, not
+on their order. The DP exploits this: placing v after the set P is legal
+iff no u in P has 2v - u still unplaced, and the number of legal
+orderings of P is the sum over its legal last values.
 """
 
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -36,13 +45,15 @@ POLICY_COMPUTE_IF_MISSING = "compute_if_missing"
 
 @dataclass(frozen=True)
 class CountJob:
-    """Parameters for one pruned count.
+    """Parameters for one count.
 
-    split_depth is the prefix length at which the search tree is cut into
-    independent subtrees; worker_count processes count subtrees in
-    parallel. Neither affects the result. node_budget, if set, caps the
-    number of search nodes each subtree task may visit; exhausting it is
-    a hard ResourceLimitExceeded, never a truncated count.
+    For the backtracker, split_depth is the prefix length at which the
+    search tree is cut into independent subtrees, and worker_count
+    processes count subtrees in parallel; the DP ignores both. Neither
+    affects the result. node_budget, if set, caps the work: the number of
+    search nodes each backtracker subtree task may visit, or the total
+    number of DP states expanded. Exhausting it is a hard
+    ResourceLimitExceeded, never a truncated count.
     """
 
     n: int
@@ -164,6 +175,7 @@ def count_pruned(job: CountJob) -> int:
     if job.worker_count == 1 or len(roots) <= 1:
         return sum(_count_subtree(n, prefix, allowed, budget)
                    for prefix, allowed in roots)
+    import multiprocessing
     tasks = [(n, prefix, allowed, job.node_budget) for prefix, allowed in roots]
     with multiprocessing.Pool(job.worker_count) as pool:
         return sum(pool.map(_count_task, tasks))
@@ -206,12 +218,63 @@ def count_verified(n: int) -> int:
     return total
 
 
+def _dp_levels(n: int) -> Iterator[dict[int, int]]:
+    """Yield level k = {P: legal orderings of P} over k-sets P, k = 0..n.
+
+    P is a bitmask with bit v set for each placed value v. Its reflection
+    R (bit n+1-u for each u in P) shifted left by 2v-n-1 is the set
+    {2v-u : u in P}, the values that placing v after P would kill, so
+    placing v is legal iff that set misses every unplaced value.
+    """
+    full = (1 << (n + 1)) - 2
+    width = n + 2
+    offset = n + 3  # shift = 2v - n - 1, where b = 1 << v has bit_length v + 1
+    level = {0: 1}
+    yield level
+    for _ in range(n):
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for placed, paths in level.items():
+            refl = int(format(placed, f"0{width}b")[::-1], 2)
+            unplaced = full ^ placed
+            m = unplaced
+            while m:
+                b = m & -m
+                m ^= b
+                shift = 2 * b.bit_length() - offset
+                killed = refl << shift if shift >= 0 else refl >> -shift
+                if not killed & unplaced:
+                    key = placed | b
+                    nxt[key] = get(key, 0) + paths
+        level = nxt
+        yield level
+
+
+def count_dp(job: CountJob) -> int:
+    """Exact count of 3AP-free permutations of {1, ..., job.n} by subset DP.
+
+    Sums path counts over placed-value sets level by level, holding only
+    the level being expanded and the one being built. job.node_budget caps
+    the total number of states expanded; job.worker_count and
+    job.split_depth are ignored, so the outcome is the same for every value
+    of them.
+    """
+    levels = _dp_levels(job.n)
+    expanded = 0
+    for _ in range(job.n):
+        expanded += len(next(levels))
+        if job.node_budget is not None and expanded > job.node_budget:
+            raise ResourceLimitExceeded(
+                f"node budget of {job.node_budget} DP states exhausted")
+    return sum(next(levels).values())
+
+
 def theta(n: int, tbl: ThetaTable, policy: str = POLICY_LOOKUP_ONLY, *,
           worker_count: int = 1, split_depth: Optional[int] = None,
           node_budget: Optional[int] = None) -> int:
     """Exact count for n from the table, optionally computing on a miss.
 
-    Under compute_if_missing the pruned counter runs, the result is
+    Under compute_if_missing the subset DP runs, the result is
     stored with provenance "computed", and the table is persisted to its
     cache path when it has one.
     """
@@ -223,7 +286,7 @@ def theta(n: int, tbl: ThetaTable, policy: str = POLICY_LOOKUP_ONLY, *,
     if policy == POLICY_LOOKUP_ONLY:
         raise ValueUnavailable(f"no count for n={n} and policy is lookup_only")
     depth = min(SPLIT_DEPTH_DEFAULT, n) if split_depth is None else split_depth
-    value = count_pruned(CountJob(n, worker_count, depth, node_budget))
+    value = count_dp(CountJob(n, worker_count, depth, node_budget))
     tbl.insert(n, value, PROVENANCE_COMPUTED)
     if tbl.cache_path is not None:
         dataio.save_table(tbl, tbl.cache_path)

@@ -63,13 +63,14 @@ class DecimalRoot:
 
         Floor mode: scaled**r <= R*10**(r*d) < (scaled+1)**r.
         Nearest mode: the root lies within half an ulp, checked as
-        (2*scaled - 1)**r <= 2**r * R*10**(r*d) <= (2*scaled + 1)**r.
+        max(2*scaled - 1, 0)**r <= 2**r * R*10**(r*d) <= (2*scaled + 1)**r;
+        the clamp keeps an even r from turning (-1)**r into 1 at scaled 0.
         """
         target = self.radicand * 10 ** (self.degree * self.digits)
         if self.mode == ROUND_FLOOR:
             return self.scaled ** self.degree <= target < (self.scaled + 1) ** self.degree
         doubled = target << self.degree
-        lo = 2 * self.scaled - 1
+        lo = max(2 * self.scaled - 1, 0)
         hi = 2 * self.scaled + 1
         return lo ** self.degree <= doubled <= hi ** self.degree
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from apfree import CountJob, ThetaTable, count_pruned
+from apfree import CountJob, ThetaTable, count_dp
 from apfree.cli import main as cli_main
 from apfree.table import PROVENANCE_COMPUTED
 
@@ -74,10 +74,10 @@ requires_real_data = pytest.mark.skipif(
 
 @pytest.fixture(scope="session")
 def computed_table() -> ThetaTable:
-    """Builtin values plus counts for n = 12..16 computed in this session."""
+    """Builtin values plus counts for n = 12..16 computed by the subset DP."""
     tbl = ThetaTable()
     for n in range(12, 17):
-        tbl.insert(n, count_pruned(CountJob(n)), PROVENANCE_COMPUTED)
+        tbl.insert(n, count_dp(CountJob(n)), PROVENANCE_COMPUTED)
     return tbl
 
 

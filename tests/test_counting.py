@@ -3,10 +3,11 @@ import itertools
 import pytest
 
 from apfree import (CountJob, OracleRangeExceeded, ResourceLimitExceeded,
-                    ThetaTable, ValueUnavailable, count_oracle, count_pruned,
-                    count_verified, free_permutations, is_3ap_free, theta,
-                    validate)
-from apfree.counting import POLICY_COMPUTE_IF_MISSING, POLICY_LOOKUP_ONLY
+                    ThetaTable, ValueUnavailable, count_dp, count_oracle,
+                    count_pruned, count_verified, free_permutations,
+                    is_3ap_free, theta, validate)
+from apfree.counting import (POLICY_COMPUTE_IF_MISSING, POLICY_LOOKUP_ONLY,
+                             _dp_levels)
 from apfree.table import (PROVENANCE_BUILTIN, PROVENANCE_COMPUTED,
                           PROVENANCE_INGESTED)
 from conftest import COMPUTED_MID, PAPER_SMALL, THETA_64
@@ -78,6 +79,54 @@ class TestPrunedCounter:
     def test_node_budget_applies_to_parallel_tasks(self):
         with pytest.raises(ResourceLimitExceeded):
             count_pruned(CountJob(10, worker_count=2, node_budget=50))
+
+
+class TestSubsetDP:
+    def test_matches_oracle(self):
+        for n in range(1, 10):
+            assert count_dp(CountJob(n, split_depth=min(2, n))) == count_oracle(n)
+
+    def test_matches_pruned_counter(self):
+        for n in range(1, 14):
+            job = CountJob(n, split_depth=min(2, n))
+            assert count_dp(job) == count_pruned(job)
+
+    def test_published_and_computed_values(self):
+        expected = dict(enumerate(PAPER_SMALL, start=1)) | COMPUTED_MID
+        assert sorted(expected) == list(range(1, 17))
+        for n, value in expected.items():
+            assert count_dp(CountJob(n, split_depth=min(2, n))) == value
+
+    @pytest.mark.parametrize("budget", [50, 10 ** 6])
+    def test_outcome_does_not_depend_on_scheduling(self, budget):
+        outcomes = set()
+        for workers in (1, 2):
+            for depth in (0, 2):
+                job = CountJob(11, worker_count=workers, split_depth=depth,
+                               node_budget=budget)
+                try:
+                    outcomes.add(count_dp(job))
+                except ResourceLimitExceeded:
+                    outcomes.add(ResourceLimitExceeded)
+        assert outcomes == {ResourceLimitExceeded if budget == 50 else PAPER_SMALL[10]}
+
+    def test_node_budget_counts_expanded_states(self):
+        # Every level but the last is expanded; the budget may be used up
+        # exactly, and one state fewer is an error.
+        expanded = sum(len(level) for level in list(_dp_levels(9))[:-1])
+        assert count_dp(CountJob(9, node_budget=expanded)) == PAPER_SMALL[8]
+        with pytest.raises(ResourceLimitExceeded):
+            count_dp(CountJob(9, node_budget=expanded - 1))
+
+    @pytest.mark.slow
+    def test_pruned_counter_agrees_at_fourteen_to_sixteen(self):
+        for n in (14, 15, 16):
+            assert count_pruned(CountJob(n)) == count_dp(CountJob(n))
+
+    @pytest.mark.slow
+    def test_recomputes_builtin_theta_64(self):
+        # Several minutes and a few hundred MB; opt in with -m slow.
+        assert count_dp(CountJob(64)) == THETA_64
 
 
 class TestFreePermutations:

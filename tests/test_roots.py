@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from apfree import decimal_nth_root, nth_root_floor
@@ -60,6 +60,7 @@ class TestDecimalRoot:
            st.integers(min_value=1, max_value=60),
            st.integers(min_value=1, max_value=12),
            st.sampled_from([ROUND_FLOOR, ROUND_NEAREST]))
+    @example(radicand=0, degree=2, digits=1, mode=ROUND_NEAREST)
     def test_brackets_hold(self, radicand, degree, digits, mode):
         root = decimal_nth_root(radicand, degree, digits, mode)
         assert root.bracket_holds()
