@@ -17,6 +17,7 @@ file supplied by the caller.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, TextIO, Union
@@ -108,12 +109,9 @@ def ingest_bfile(source: Source, tbl: ThetaTable) -> IngestResult:
         if e.n == 0:
             skipped.append(e)
             continue
-        lo, hi = global_theta_bounds(e.n)
-        if not lo <= e.value <= hi:
-            raise ConflictError(
-                f"n={e.n}: value {e.value} violates the universal bounds "
-                f"[{lo}, {hi}]; refusing to ingest corrupted data"
-            )
+        violation = _bounds_violation(e)
+        if violation is not None:
+            raise ConflictError(f"{violation}; refusing to ingest corrupted data")
         existing = tbl.get(e.n)
         if existing is None:
             staged.append(e)
@@ -129,20 +127,43 @@ def ingest_bfile(source: Source, tbl: ThetaTable) -> IngestResult:
     return IngestResult(tuple(staged), tuple(matched), tuple(skipped))
 
 
+def _bounds_violation(e: BFileEntry) -> Optional[str]:
+    """Say how e breaks the universal bounds for its n, or None if it keeps them."""
+    lo, hi = global_theta_bounds(e.n)
+    if lo <= e.value <= hi:
+        return None
+    return f"n={e.n}: value {e.value} violates the universal bounds [{lo}, {hi}]"
+
+
 def provenance_path(cache_path: Union[str, Path]) -> Path:
     return Path(f"{cache_path}.provenance")
 
 
 def save_table(tbl: ThetaTable, path: Union[str, Path]) -> None:
-    """Write the table as a b-file plus a provenance sidecar."""
+    """Write the table as a b-file plus a provenance sidecar.
+
+    Each file is written beside its target and renamed over it, the
+    sidecar first, so neither is ever left half written. A table only
+    gains entries, so a failure between the two renames leaves tags for
+    n that the old b-file lacks, which load_table rejects: the cache then
+    fails loudly instead of loading with wrong tags. There is no fsync;
+    the renames guard against a failed write, not against power loss.
+    """
     items = tbl.items_sorted()
     path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for n, entry in items:
-            fh.write(f"{n} {entry.value}\n")
-    with open(provenance_path(path), "w", encoding="utf-8", newline="\n") as fh:
-        for n, entry in items:
-            fh.write(f"{n} {entry.provenance}\n")
+    _write_then_rename(provenance_path(path), [f"{n} {e.provenance}\n" for n, e in items])
+    _write_then_rename(path, [f"{n} {e.value}\n" for n, e in items])
+
+
+def _write_then_rename(path: Path, lines: list[str]) -> None:
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(lines)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read_provenances(path: Path) -> dict[int, str]:
@@ -162,17 +183,24 @@ def load_table(path: Union[str, Path], tbl: Optional[ThetaTable] = None) -> Thet
     """Load a cache file into a table (a fresh builtin table by default).
 
     Entries get their sidecar provenance when the sidecar exists, and
-    "ingested" otherwise. Values conflicting with entries already in the
-    table raise ConflictError.
+    "ingested" otherwise. The file is checked before anything is
+    inserted: a value outside the universal bounds for its n, or a
+    sidecar tag for an n the cache lacks, raises ParseError. Values
+    conflicting with entries already in the table raise ConflictError.
     """
     if tbl is None:
         tbl = ThetaTable(cache_path=path)
-    entries = parse_bfile(path)
+    entries = [e for e in parse_bfile(path) if e.n != 0]
+    for e in entries:
+        violation = _bounds_violation(e)
+        if violation is not None:
+            raise ParseError(f"{path}: {violation}; the cache is corrupt")
     sidecar = provenance_path(path)
     tags = _read_provenances(sidecar) if sidecar.exists() else {}
+    orphans = sorted(set(tags) - {e.n for e in entries})
+    if orphans:
+        raise ParseError(f"{sidecar}: tags for n={orphans} that {path} does not hold")
     for e in entries:
-        if e.n == 0:
-            continue
         tbl.insert(e.n, e.value, tags.get(e.n, PROVENANCE_INGESTED))
     return tbl
 

@@ -2,7 +2,9 @@
 
 Every decimal printed by this package comes from integer arithmetic: the
 scaled approximation of R^(1/r) is an integer nth root, and its quality is
-certified by comparing integer powers, never by floating point.
+certified by comparing integer powers, never by floating point. The integer
+root comes from Newton's method, started from a guess built out of a root
+of half the precision; the guess sets only how long Newton takes.
 """
 
 from __future__ import annotations
@@ -14,15 +16,45 @@ ROUND_NEAREST = "nearest"
 
 
 def nth_root_floor(x: int, r: int) -> int:
-    """Largest integer g with g**r <= x, by Newton iteration from above."""
+    """Largest integer g with g**r <= x, by Newton iteration from above.
+
+    The starting guess comes from a root of half the precision. Let
+    y_k = x >> (r*k). Shifts 0 = k_0 < k_1 < ... < k_m each halve the bit
+    length of the root of y_k, down to y_{k_m}, which has 1..r bits and
+    so has root 1. Going back up, the floor root h of y_{k_i} gives the
+    guess (h + 1) << (k_i - k_{i-1}) for y_{k_{i-1}}, and Newton turns it
+    into that level's floor root. The guess is above the true root,
+    because (h + 1)**r > y_{k_i} means
+    (h + 1)**r >= y_{k_i} + 1 > y_{k_{i-1}} / 2**(r*(k_i - k_{i-1})).
+    It is also within a factor 1 + 1/h of the root, so each level takes
+    a few Newton steps; a power-of-two guess can be twice the root,
+    and then Newton, which shrinks an overshoot by about (r-1)/r per
+    step, takes about r steps. Integer Newton started above the floor
+    root never drops below it, and two loops of exact power comparisons
+    then settle the result, so no guess can make it inexact.
+    """
     if r < 1:
         raise ValueError(f"root degree must be >= 1, got {r}")
     if x < 0:
         raise ValueError(f"radicand must be >= 0, got {x}")
     if r == 1 or x in (0, 1):
         return x
-    # Start from a power of two guaranteed to be >= the true root.
-    g = 1 << ((x.bit_length() + r - 1) // r + 1)
+    shifts = [0]
+    bits = (x.bit_length() + r - 1) // r
+    while bits > 1:
+        shifts.append(shifts[-1] + bits // 2)
+        bits -= bits // 2
+    # Starting with h = 0 at the deepest shift gives that level the guess 1,
+    # which is its root.
+    h, k = 0, shifts[-1]
+    for j in reversed(shifts):
+        h = _root_from_above(x >> (r * j), r, (h + 1) << (k - j))
+        k = j
+    return h
+
+
+def _root_from_above(x: int, r: int, g: int) -> int:
+    """Floor rth root of x by Newton's method from a guess g >= the root."""
     while True:
         t = ((r - 1) * g + x // g ** (r - 1)) // r
         if t >= g:

@@ -54,6 +54,27 @@ def brute_all_witnesses(values):
             if values[i] + values[k] == 2 * values[j]]
 
 
+def pow2_newton_root(x, r):
+    """Reference floor rth root by Newton from a power of two above the root.
+
+    An oracle for `nth_root_floor`, which seeds Newton from a root of half
+    the precision instead.
+    """
+    if r == 1 or x in (0, 1):
+        return x
+    g = 1 << ((x.bit_length() + r - 1) // r + 1)
+    while True:
+        t = ((r - 1) * g + x // g ** (r - 1)) // r
+        if t >= g:
+            break
+        g = t
+    while g ** r > x:
+        g -= 1
+    while (g + 1) ** r <= x:
+        g += 1
+    return g
+
+
 def real_bfile_path():
     """Path to a full published A003407 b-file, when the user supplied one."""
     env = os.environ.get("A003407_BFILE")

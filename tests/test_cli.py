@@ -5,7 +5,7 @@ import pytest
 
 from apfree import ThetaTable, save_table
 from apfree.table import PROVENANCE_INGESTED
-from conftest import FIXTURE_BFILE, REPO_ROOT, run_cli
+from conftest import FIXTURE_BFILE, REPO_ROOT, pow2_newton_root, run_cli
 
 CHECKER = REPO_ROOT / "scripts" / "check_certificate.py"
 
@@ -170,6 +170,22 @@ class TestSeparate:
         code, out = run_checker(cert)
         assert code == 0
         assert out.startswith("SOUND") and "separated" in out
+
+    def test_headline_certificate_at_200_digits(self, tmp_path):
+        cert = tmp_path / "cert.txt"
+        code, out, _ = run_cli(["separate", "--digits", "200", "--out", str(cert)])
+        assert code == 0
+        fields = dict(line.split(": ", 1) for line in out.splitlines()[1:])
+        for side in ("lower", "upper"):
+            radicand = int(fields[f"{side}_radicand"])
+            r = int(fields[f"{side}_root"])
+            target = radicand * 10 ** (r * 200)
+            scaled = pow2_newton_root(target, r)
+            if target << r >= (2 * scaled + 1) ** r:
+                scaled += 1  # round to nearest, as the certificate does
+            digits = str(scaled)
+            assert fields[f"{side}_decimal"] == f"{digits[:-200]}.{digits[-200:]}"
+        assert run_checker(cert)[0] == 0
 
     def test_standalone_checker_rejects_tampering(self, tmp_path):
         cert = tmp_path / "cert.txt"

@@ -5,11 +5,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from apfree import (BFileEntry, ConflictError, ParseError, ThetaTable,
-                    ValueUnavailable, emit_figure_data, ingest_bfile,
-                    load_table, parse_bfile, save_table)
+                    ValueUnavailable, dataio, emit_figure_data,
+                    global_theta_bounds, ingest_bfile, load_table, parse_bfile,
+                    save_table)
 from apfree.table import (PROVENANCE_BUILTIN, PROVENANCE_COMPUTED,
                           PROVENANCE_INGESTED)
-from conftest import COMPUTED_MID, FIXTURE_BFILE, THETA_64
+from conftest import COMPUTED_MID, FIXTURE_BFILE, THETA_64, run_cli
 
 
 class TestParseBFile:
@@ -129,6 +130,55 @@ class TestSaveLoad:
         path.write_text("12 6128\n")
         assert load_table(path).provenance(12) == PROVENANCE_INGESTED
 
+    def test_load_rejects_value_outside_universal_bounds(self, tmp_path):
+        path = tmp_path / "cache.txt"
+        path.write_text("20 5\n")
+        with pytest.raises(ParseError, match="n=20"):
+            load_table(path)
+        code, _, err = run_cli(["verify", "--cache", str(path)])
+        assert code == 2 and "universal bounds" in err
+
+    def test_load_rejects_sidecar_tag_missing_from_cache(self, tmp_path):
+        path = tmp_path / "cache.txt"
+        path.write_text("12 6128\n")
+        dataio.provenance_path(path).write_text("12 computed\n13 computed\n")
+        with pytest.raises(ParseError, match=r"n=\[13\]"):
+            load_table(path)
+        code, _, err = run_cli(["verify", "--cache", str(path)])
+        assert code == 2 and "13" in err
+
+    @pytest.mark.parametrize("failing_call", [1, 2])
+    def test_interrupted_save_never_loads_wrong_tags(self, tmp_path, monkeypatch,
+                                                     failing_call):
+        path = tmp_path / "cache.txt"
+        old = ThetaTable()
+        old.insert(12, 6128, PROVENANCE_COMPUTED)
+        save_table(old, path)
+        new = ThetaTable()
+        new.insert(12, 6128, PROVENANCE_COMPUTED)
+        new.insert(13, 12840, PROVENANCE_COMPUTED)
+        replace, calls = dataio.os.replace, []
+
+        def flaky_replace(src, dst):
+            calls.append(dst)
+            if len(calls) == failing_call:
+                raise OSError("disk full")
+            replace(src, dst)
+
+        monkeypatch.setattr(dataio.os, "replace", flaky_replace)
+        with pytest.raises(OSError):
+            save_table(new, path)
+        monkeypatch.undo()
+        # The sidecar is renamed first: a failure there changes nothing,
+        # and a failure after it leaves a tag for 13 that the b-file lacks.
+        if failing_call == 1:
+            assert load_table(path).items_sorted() == old.items_sorted()
+        else:
+            with pytest.raises(ParseError):
+                load_table(path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "cache.txt", "cache.txt.provenance"]
+
     def test_save_then_reingest_round_trips(self, tmp_path):
         path = tmp_path / "cache.txt"
         tbl = ThetaTable()
@@ -137,9 +187,9 @@ class TestSaveLoad:
         again = load_table(path)
         assert again.items_sorted() == tbl.items_sorted()
 
-    @given(st.dictionaries(st.integers(min_value=17, max_value=60),
-                           st.integers(min_value=0, max_value=10 ** 30),
-                           max_size=8))
+    @given(st.sets(st.integers(min_value=17, max_value=60), max_size=8).flatmap(
+        lambda ns: st.fixed_dictionaries(
+            {n: st.integers(*global_theta_bounds(n)) for n in ns})))
     def test_round_trip_random_tables(self, extra):
         import tempfile
         from pathlib import Path

@@ -1,9 +1,16 @@
+import random
+
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apfree import decimal_nth_root, nth_root_floor
 from apfree.roots import ROUND_FLOOR, ROUND_NEAREST
+from conftest import THETA_64, THETA_75, pow2_newton_root
+
+# The radicands behind the headline certificate limit(1) > limit(75).
+HEADLINE_RADICANDS = [(2 * THETA_64, 64), (21 * THETA_64, 64),
+                      (2 * THETA_75, 75), (21 * THETA_75, 75)]
 
 
 class TestNthRootFloor:
@@ -31,6 +38,33 @@ class TestNthRootFloor:
            st.integers(min_value=1, max_value=12))
     def test_exact_powers(self, base, r):
         assert nth_root_floor(base ** r, r) == base
+
+    @settings(deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 20000),
+           st.integers(min_value=1, max_value=200))
+    def test_floor_bracket_large(self, x, r):
+        g = nth_root_floor(x, r)
+        assert g ** r <= x < (g + 1) ** r
+
+    @pytest.mark.parametrize("r", [2, 3, 64, 75, 128, 160])
+    @pytest.mark.parametrize("bits", [61, 62, 200, 800])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_next_to_exact_powers(self, r, bits, offset):
+        g = random.Random(bits * 1000 + r).getrandbits(bits) | (1 << (bits - 1))
+        expected = g - 1 if offset < 0 else g
+        assert nth_root_floor(g ** r + offset, r) == expected
+
+    @settings(deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 4000),
+           st.integers(min_value=1, max_value=80))
+    def test_agrees_with_power_of_two_newton(self, x, r):
+        assert nth_root_floor(x, r) == pow2_newton_root(x, r)
+
+    @pytest.mark.parametrize("radicand,r", HEADLINE_RADICANDS)
+    @pytest.mark.parametrize("digits", [11, 200])
+    def test_agrees_with_power_of_two_newton_at_headline(self, radicand, r, digits):
+        x = radicand * 10 ** (r * digits)
+        assert nth_root_floor(x, r) == pow2_newton_root(x, r)
 
 
 class TestDecimalRoot:
@@ -61,6 +95,8 @@ class TestDecimalRoot:
            st.integers(min_value=1, max_value=12),
            st.sampled_from([ROUND_FLOOR, ROUND_NEAREST]))
     @example(radicand=0, degree=2, digits=1, mode=ROUND_NEAREST)
+    @example(radicand=21 * THETA_75, degree=75, digits=200, mode=ROUND_FLOOR)
+    @example(radicand=21 * THETA_75, degree=75, digits=200, mode=ROUND_NEAREST)
     def test_brackets_hold(self, radicand, degree, digits, mode):
         root = decimal_nth_root(radicand, degree, digits, mode)
         assert root.bracket_holds()
