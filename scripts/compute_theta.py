@@ -24,7 +24,7 @@ def main():
     parser.add_argument("--min", type=int, default=1)
     parser.add_argument("--max", type=int, default=16)
     parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--split-depth", type=int, default=None)
+    parser.add_argument("--split-depth", type=int, default=0)
     parser.add_argument("--cache", default="out/theta_cache.txt")
     args = parser.parse_args()
 
@@ -39,8 +39,7 @@ def main():
         known = n in tbl
         value = theta(n, tbl, POLICY_COMPUTE_IF_MISSING,
                       worker_count=args.jobs,
-                      split_depth=(None if args.split_depth is None
-                                   else min(args.split_depth, n)))
+                      split_depth=min(args.split_depth, n))
         elapsed = time.monotonic() - started
         tag = tbl.provenance(n) if known else "computed now"
         print(f"n={n}: {value}  [{tag}, {elapsed:.2f}s]")

@@ -12,8 +12,7 @@ from .counting import (CountJob, count_dp, count_oracle, count_pruned,
                        count_verified, free_permutations, theta)
 from .dataio import (BFileEntry, IngestResult, emit_figure_data, ingest_bfile,
                      load_table, parse_bfile, save_table)
-from .doubling import (EVEN_BLOCK_FIRST, ODD_BLOCK_FIRST, count_via_doubling,
-                       double, double_odd)
+from .doubling import EVEN_BLOCK_FIRST, ODD_BLOCK_FIRST, double, double_odd
 from .errors import (ApfreeError, ConflictError, ConstructionViolation,
                      InputNot3APFree, LengthMismatch, NotAPermutation,
                      OracleRangeExceeded, ParseError, ResourceLimitExceeded,

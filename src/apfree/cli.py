@@ -16,7 +16,7 @@ from pathlib import Path
 from . import counting, dataio, doubling, growth, perm
 from .counting import CountJob
 from .errors import ApfreeError, ConflictError, ConstructionViolation
-from .table import PROVENANCE_COMPUTED, ThetaTable
+from .table import ThetaTable
 
 
 def _assemble_table(cache=None, bfile=None) -> ThetaTable:
@@ -41,20 +41,12 @@ def _parse_mt(text: str) -> tuple[int, int]:
 
 def cmd_count(args) -> int:
     tbl = _assemble_table(cache=args.cache)
-    depth = min(2, args.n) if args.split_depth is None else args.split_depth
     if args.oracle:
         value = counting.count_oracle(args.n)
     else:
-        value = counting.count_dp(CountJob(args.n, args.jobs, depth, args.node_budget))
-    known = tbl.get(args.n)
-    if known is not None and known != value:
-        print(f"error: computed {value} for n={args.n} but table has {known} "
-              f"({tbl.provenance(args.n)})", file=sys.stderr)
-        return 1
-    if known is None:
-        tbl.insert(args.n, value, PROVENANCE_COMPUTED)
-        if args.cache is not None:
-            dataio.save_table(tbl, args.cache)
+        value = counting.count_dp(
+            CountJob(args.n, args.jobs, args.split_depth, args.node_budget))
+    counting._record_computed(tbl, args.n, value)
     print(value)
     return 0
 
@@ -154,15 +146,7 @@ def cmd_analyze(args) -> int:
     tbl = _assemble_table(cache=args.cache, bfile=args.bfile)
     m, digits = args.m, args.digits
     lines = []
-    points = []
-    t = 0
-    n = m
-    top = max(tbl.available()) if len(tbl) else 0
-    while n <= top:
-        if n in tbl:
-            points.append((t, n))
-        t += 1
-        n <<= 1
+    points = growth.doubling_points(m, tbl)
     if not points:
         raise ApfreeError(f"no values available for any n = {m} * 2^t")
     for t, n in points:
@@ -222,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="accepted for compatibility; the subset DP runs in one "
                         "process and the count does not depend on it")
-    p.add_argument("--split-depth", type=int, default=None, metavar="D",
+    p.add_argument("--split-depth", type=int, default=0, metavar="D",
                    help="accepted for compatibility (0..n); the count does not "
                         "depend on it")
     p.add_argument("--node-budget", type=int, default=None, metavar="B",

@@ -2,12 +2,14 @@
 
 Three independent routes are provided. The subset DP is the default: it
 sums path counts over the *sets* of values placed so far and reaches
-n = 64 from first principles. The pruned backtracker builds
-permutations left to right and never extends a prefix with a value that
-would close a 3AP as the rightmost element, so every completed sequence
-is 3AP-free by construction and none is missed. The oracle enumerates
-all n! permutations and filters with the quadratic 3AP test; it is the
-ground truth for small n. Tests compare the three routes.
+n = 64 from first principles. The backtracker builds permutations left
+to right and never extends a prefix with a value that would close a 3AP
+as the rightmost element, so every sequence it completes is 3AP-free by
+construction and none is missed; `free_permutations` yields those
+sequences and `count_pruned` counts them. The oracle enumerates all n!
+permutations and filters with the quadratic 3AP test; it is the ground
+truth for small n. Tests compare the three routes, which share no
+legality code.
 
 The backtracker's pruning state is a bitmask of still-placeable values.
 Once a pair (u at position i, w at position j > i) exists, the value
@@ -37,7 +39,6 @@ from .perm import values_3ap_free
 from .table import PROVENANCE_COMPUTED, ThetaTable
 
 ORACLE_CEILING_DEFAULT = 10
-SPLIT_DEPTH_DEFAULT = 2
 
 POLICY_LOOKUP_ONLY = "lookup_only"
 POLICY_COMPUTE_IF_MISSING = "compute_if_missing"
@@ -47,18 +48,19 @@ POLICY_COMPUTE_IF_MISSING = "compute_if_missing"
 class CountJob:
     """Parameters for one count.
 
-    For the backtracker, split_depth is the prefix length at which the
-    search tree is cut into independent subtrees, and worker_count
-    processes count subtrees in parallel; the DP ignores both. Neither
-    affects the result. node_budget, if set, caps the work: the number of
-    search nodes each backtracker subtree task may visit, or the total
-    number of DP states expanded. Exhausting it is a hard
-    ResourceLimitExceeded, never a truncated count.
+    worker_count and split_depth are validated here and then ignored by
+    both counters that take a job; they remain so that existing callers
+    and the CLI's --jobs and --split-depth keep working. node_budget, if
+    set, caps the work: for `count_pruned` the number of permutations
+    counted, for `count_dp` the number of DP states expanded. Both caps
+    are global, so the outcome is the same for every worker_count and
+    split_depth. Exhausting the budget is a hard ResourceLimitExceeded,
+    never a truncated count.
     """
 
     n: int
     worker_count: int = 1
-    split_depth: int = SPLIT_DEPTH_DEFAULT
+    split_depth: int = 0
     node_budget: Optional[int] = None
 
     def __post_init__(self):
@@ -72,23 +74,11 @@ class CountJob:
             )
 
 
-class _NodeBudget:
-    __slots__ = ("remaining",)
-
-    def __init__(self, limit: int):
-        self.remaining = limit
-
-    def charge(self):
-        self.remaining -= 1
-        if self.remaining < 0:
-            raise ResourceLimitExceeded("node budget exhausted")
-
-
 def count_oracle(n: int, ceiling: int = ORACLE_CEILING_DEFAULT) -> int:
     """Count by enumerating all n! permutations and filtering.
 
     Deliberately brute force; serves as the independent cross-check for
-    the pruned counter. Raises OracleRangeExceeded for n above `ceiling`
+    the other two routes. Raises OracleRangeExceeded for n above `ceiling`
     (default 10) to stop accidental factorial blowups.
     """
     if n < 1:
@@ -112,81 +102,14 @@ def _blocked_mask(n: int, prefix: tuple[int, ...], v: int) -> int:
     return fm
 
 
-def _count_subtree(n: int, prefix: tuple[int, ...], allowed: int,
-                   budget: Optional[_NodeBudget]) -> int:
-    if budget is not None:
-        budget.charge()
-    t = len(prefix)
-    if t == n:
-        return 1
-    need = n - t - 1
-    total = 0
-    m = allowed
-    while m:
-        b = m & -m
-        m ^= b
-        v = b.bit_length() - 1
-        child = (allowed ^ b) & ~_blocked_mask(n, prefix, v)
-        if child.bit_count() >= need:
-            total += _count_subtree(n, prefix + (v,), child, budget)
-    return total
+def _enumerate_free(n: int) -> Iterator[tuple[int, ...]]:
+    """Yield every 3AP-free permutation of {1, ..., n} in lexicographic order.
 
-
-def _subtree_roots(n: int, depth: int,
-                   budget: Optional[_NodeBudget]) -> list[tuple[tuple[int, ...], int]]:
-    """All viable (prefix, allowed) states at the given prefix length."""
-    full = (1 << (n + 1)) - 2
-    roots = [((), full)]
-    for level in range(depth):
-        need = n - level - 1
-        nxt = []
-        for prefix, allowed in roots:
-            if budget is not None:
-                budget.charge()
-            m = allowed
-            while m:
-                b = m & -m
-                m ^= b
-                v = b.bit_length() - 1
-                child = (allowed ^ b) & ~_blocked_mask(n, prefix, v)
-                if child.bit_count() >= need:
-                    nxt.append((prefix + (v,), child))
-        roots = nxt
-    return roots
-
-
-def _count_task(args: tuple[int, tuple[int, ...], int, Optional[int]]) -> int:
-    n, prefix, allowed, budget_limit = args
-    budget = _NodeBudget(budget_limit) if budget_limit is not None else None
-    return _count_subtree(n, prefix, allowed, budget)
-
-
-def count_pruned(job: CountJob) -> int:
-    """Exact count of 3AP-free permutations of {1, ..., job.n}.
-
-    The search tree is split at job.split_depth into independent prefix
-    subtrees whose exact counts are summed, sequentially or across
-    job.worker_count processes. Addition of exact integers commutes, so
-    the result is identical for every worker_count and split_depth.
+    `extend` yields the completions of `prefix`, where `allowed` is the
+    bitmask of values that may still follow it.
     """
-    n = job.n
-    budget = _NodeBudget(job.node_budget) if job.node_budget is not None else None
-    roots = _subtree_roots(n, job.split_depth, budget)
-    if job.worker_count == 1 or len(roots) <= 1:
-        return sum(_count_subtree(n, prefix, allowed, budget)
-                   for prefix, allowed in roots)
-    import multiprocessing
-    tasks = [(n, prefix, allowed, job.node_budget) for prefix, allowed in roots]
-    with multiprocessing.Pool(job.worker_count) as pool:
-        return sum(pool.map(_count_task, tasks))
 
-
-def free_permutations(n: int) -> Iterator[tuple[int, ...]]:
-    """Yield every 3AP-free permutation of {1, ..., n} in lexicographic order."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-
-    def walk(prefix: tuple[int, ...], allowed: int) -> Iterator[tuple[int, ...]]:
+    def extend(prefix: tuple[int, ...], allowed: int) -> Iterator[tuple[int, ...]]:
         t = len(prefix)
         if t == n:
             yield prefix
@@ -199,9 +122,33 @@ def free_permutations(n: int) -> Iterator[tuple[int, ...]]:
             v = b.bit_length() - 1
             child = (allowed ^ b) & ~_blocked_mask(n, prefix, v)
             if child.bit_count() >= need:
-                yield from walk(prefix + (v,), child)
+                yield from extend(prefix + (v,), child)
 
-    return walk((), (1 << (n + 1)) - 2)
+    return extend((), (1 << (n + 1)) - 2)
+
+
+def free_permutations(n: int) -> Iterator[tuple[int, ...]]:
+    """Yield every 3AP-free permutation of {1, ..., n} in lexicographic order."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    return _enumerate_free(n)
+
+
+def count_pruned(job: CountJob) -> int:
+    """Exact count of 3AP-free permutations of {1, ..., job.n} by backtracking.
+
+    Counts what `free_permutations` yields. job.node_budget caps the
+    number of permutations counted; job.worker_count and job.split_depth
+    are ignored.
+    """
+    budget = job.node_budget
+    total = 0
+    for _ in _enumerate_free(job.n):
+        total += 1
+        if budget is not None and total > budget:
+            raise ResourceLimitExceeded(
+                f"node budget of {budget} permutations exhausted")
+    return total
 
 
 def count_verified(n: int) -> int:
@@ -269,8 +216,16 @@ def count_dp(job: CountJob) -> int:
     return sum(next(levels).values())
 
 
+def _record_computed(tbl: ThetaTable, n: int, value: int) -> None:
+    """Insert a computed count, then save the table to its cache path if
+    it has one and the entry is new. A disagreeing entry raises
+    ConflictError before anything is written."""
+    if tbl.insert(n, value, PROVENANCE_COMPUTED) and tbl.cache_path is not None:
+        dataio.save_table(tbl, tbl.cache_path)
+
+
 def theta(n: int, tbl: ThetaTable, policy: str = POLICY_LOOKUP_ONLY, *,
-          worker_count: int = 1, split_depth: Optional[int] = None,
+          worker_count: int = 1, split_depth: int = 0,
           node_budget: Optional[int] = None) -> int:
     """Exact count for n from the table, optionally computing on a miss.
 
@@ -285,9 +240,6 @@ def theta(n: int, tbl: ThetaTable, policy: str = POLICY_LOOKUP_ONLY, *,
         return e.value
     if policy == POLICY_LOOKUP_ONLY:
         raise ValueUnavailable(f"no count for n={n} and policy is lookup_only")
-    depth = min(SPLIT_DEPTH_DEFAULT, n) if split_depth is None else split_depth
-    value = count_dp(CountJob(n, worker_count, depth, node_budget))
-    tbl.insert(n, value, PROVENANCE_COMPUTED)
-    if tbl.cache_path is not None:
-        dataio.save_table(tbl, tbl.cache_path)
+    value = count_dp(CountJob(n, worker_count, split_depth, node_budget))
+    _record_computed(tbl, n, value)
     return value

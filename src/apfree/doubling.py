@@ -19,21 +19,29 @@ from __future__ import annotations
 
 from .errors import ConstructionViolation, InputNot3APFree, LengthMismatch
 from .perm import Permutation, is_3ap_free
-from .table import ThetaTable
 
 EVEN_BLOCK_FIRST = "even_block_first"
 ODD_BLOCK_FIRST = "odd_block_first"
 ORDERS = (EVEN_BLOCK_FIRST, ODD_BLOCK_FIRST)
 
 
-def _check_order(order: str):
+def _combine(a: Permutation, b: Permutation, order: str, extra: int) -> Permutation:
+    """Check `order`, |b| = |a| + extra and both inputs, then concatenate
+    the even block (2a_1, 2a_2, ...) and the odd block (2b_1 - 1, ...) in
+    the given order. Inputs are re-checked: the guarantee on the output is
+    conditional on 3AP-free inputs, so trusting callers here could forge
+    witnesses."""
     if order not in ORDERS:
         raise ValueError(f"order must be one of {ORDERS}, got {order!r}")
-
-
-def _require_free(p: Permutation, label: str):
-    if not is_3ap_free(p):
-        raise InputNot3APFree(f"input {label} contains a 3AP: {p}")
+    if len(b) != len(a) + extra:
+        raise LengthMismatch(f"b must have length {len(a) + extra} to pair "
+                             f"with a of length {len(a)}, got {len(b)}")
+    for p, label in ((a, "a"), (b, "b")):
+        if not is_3ap_free(p):
+            raise InputNot3APFree(f"input {label} contains a 3AP: {p}")
+    evens = tuple(2 * v for v in a.values)
+    odds = tuple(2 * v - 1 for v in b.values)
+    return Permutation(evens + odds if order == EVEN_BLOCK_FIRST else odds + evens)
 
 
 def double(a: Permutation, b: Permutation,
@@ -41,19 +49,9 @@ def double(a: Permutation, b: Permutation,
     """Combine two 3AP-free permutations of {1, ..., k} into one of {1, ..., 2k}.
 
     a supplies the even values (doubled), b the odd values (doubled minus
-    one); `order` picks which block comes first. Inputs are re-checked:
-    the guarantee on the output is conditional on 3AP-free inputs, so
-    trusting callers here could forge witnesses.
+    one); `order` picks which block comes first.
     """
-    _check_order(order)
-    if len(a) != len(b):
-        raise LengthMismatch(f"blocks must have equal length, got {len(a)} and {len(b)}")
-    _require_free(a, "a")
-    _require_free(b, "b")
-    evens = tuple(2 * v for v in a.values)
-    odds = tuple(2 * v - 1 for v in b.values)
-    merged = evens + odds if order == EVEN_BLOCK_FIRST else odds + evens
-    return Permutation(merged)
+    return _combine(a, b, order, 0)
 
 
 def double_odd(a: Permutation, b: Permutation,
@@ -63,27 +61,9 @@ def double_odd(a: Permutation, b: Permutation,
     The output is verified to be 3AP-free; a failure raises
     ConstructionViolation instead of returning a bad witness.
     """
-    _check_order(order)
-    if len(b) != len(a) + 1:
-        raise LengthMismatch(
-            f"odd-block input must be exactly one longer, got |a|={len(a)}, |b|={len(b)}"
-        )
-    _require_free(a, "a")
-    _require_free(b, "b")
-    evens = tuple(2 * v for v in a.values)
-    odds = tuple(2 * v - 1 for v in b.values)
-    merged = evens + odds if order == EVEN_BLOCK_FIRST else odds + evens
-    result = Permutation(merged)
+    result = _combine(a, b, order, 1)
     if not is_3ap_free(result):
         raise ConstructionViolation(
             f"odd doubling of {a} and {b} produced a 3AP: {result}"
         )
     return result
-
-
-def count_via_doubling(k: int, tbl: ThetaTable) -> int:
-    """Constructive lower bound for the count at 2k: twice the square of
-    the count at k, since all doubled outputs over all input pairs and
-    both block orders are pairwise distinct."""
-    v = tbl.value(k)
-    return 2 * v * v

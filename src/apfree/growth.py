@@ -294,6 +294,22 @@ def verify_certificate_text(text: str) -> list[str]:
     return problems
 
 
+def doubling_points(m: int, tbl: ThetaTable,
+                    max_n: Optional[int] = None) -> list[tuple[int, int]]:
+    """(t, n) for each n = m * 2^t in the table, in increasing order, up
+    to max_n (default: the table's largest n)."""
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    limit = max_n if max_n is not None else (max(tbl.available()) if len(tbl) else 0)
+    points = []
+    t = 0
+    while m << t <= limit:
+        if m << t in tbl:
+            points.append((t, m << t))
+        t += 1
+    return points
+
+
 def monotone_report(m: int, tbl: ThetaTable,
                     max_n: Optional[int] = None) -> CheckReport:
     """Check the doubling subsequence for index m on all available steps.
@@ -304,17 +320,7 @@ def monotone_report(m: int, tbl: ThetaTable,
     2*theta(n)^2 <= theta(2n) <= 21*theta(n)^2 holds; these are the
     (2n)-th powers of the root-form statements, so no roots are taken.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    points = []
-    t = 0
-    n = m
-    limit = max_n if max_n is not None else (max(tbl.available()) if len(tbl) else 0)
-    while n <= limit:
-        if n in tbl:
-            points.append((t, n))
-        t += 1
-        n <<= 1
+    points = doubling_points(m, tbl, max_n)
     steps = [(t1, n1) for (t1, n1) in points if n1 * 2 in tbl and
              (max_n is None or n1 * 2 <= max_n)]
     if len(points) < 2 or not steps:

@@ -83,50 +83,47 @@ def format_oneline(p: Permutation) -> str:
     return ",".join(str(v) for v in p.values)
 
 
-def values_3ap_free(values: Sequence[int]) -> bool:
-    """3AP test on a raw value sequence, assumed to be a valid permutation.
+def _scan_3ap(values: Sequence[int]) -> Optional[tuple[int, int, int]]:
+    """1-based positions (i, j, k) of the lexicographically smallest 3AP in
+    a raw value sequence, assumed to be a valid permutation, or None.
 
-    Scans middle positions j and asks, for each earlier endpoint, whether the
-    completing value sits to the right of j. Runs in O(n^2); fast enough for
-    single-permutation checks, which are not the counting hot path.
+    For a fixed pair of positions (i, j) the completing value 2 v_j - v_i
+    is unique, so scanning i, then j, in increasing order and returning
+    the first hit yields the smallest witness under (i, j, k) ordering.
+    pos[n + w] is the 0-based position of value w, or -1 for any w in
+    2-n..2n-1 outside 1..n; its stride-2 slice `row` then maps v to the
+    position of 2v - v_i, so the inner loop needs no range test. Runs in
+    O(n^2); fast enough for single-permutation checks, which are not the
+    counting hot path.
     """
     n = len(values)
-    pos = [0] * (n + 1)
+    pos = [-1] * (3 * n + 1)
     for idx, v in enumerate(values):
-        pos[v] = idx
-    for j in range(1, n - 1):
-        vj2 = 2 * values[j]
-        for i in range(j):
-            w = vj2 - values[i]
-            if 1 <= w <= n and pos[w] > j:
-                return False
-    return True
+        pos[n + v] = idx
+    for i in range(n - 2):
+        vi = values[i]
+        row = pos[n - vi:3 * n + 1 - vi:2]
+        for j in range(i + 1, n - 1):
+            k = row[values[j]]
+            if k > j:
+                return i + 1, j + 1, k + 1
+    return None
+
+
+def values_3ap_free(values: Sequence[int]) -> bool:
+    """3AP test on a raw value sequence, assumed to be a valid permutation."""
+    return _scan_3ap(values) is None
 
 
 def find_3ap(p: Permutation) -> Optional[APWitness]:
-    """Return the lexicographically smallest 3AP witness, or None if 3AP-free.
-
-    For a fixed pair of positions (i, j) the completing value 2 v_j - v_i is
-    unique, so scanning i, then j, in increasing order and returning the
-    first hit yields the smallest witness under (i, j, k) ordering.
-    """
-    values = p.values
-    n = len(values)
-    pos = [0] * (n + 1)
-    for idx, v in enumerate(values):
-        pos[v] = idx
-    for i in range(n - 2):
-        vi = values[i]
-        for j in range(i + 1, n - 1):
-            w = 2 * values[j] - vi
-            if 1 <= w <= n and pos[w] > j:
-                return APWitness(i + 1, j + 1, pos[w] + 1)
-    return None
+    """Return the lexicographically smallest 3AP witness, or None if 3AP-free."""
+    hit = _scan_3ap(p.values)
+    return None if hit is None else APWitness(*hit)
 
 
 def is_3ap_free(p: Permutation) -> bool:
     """True iff the permutation contains no 3AP."""
-    return values_3ap_free(p.values)
+    return _scan_3ap(p.values) is None
 
 
 def reverse(p: Permutation) -> Permutation:

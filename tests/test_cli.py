@@ -53,9 +53,12 @@ class TestCount:
         tbl = ThetaTable(include_builtins=False)
         tbl.insert(8, 283, PROVENANCE_INGESTED)  # wrong on purpose
         save_table(tbl, cache)
+        sidecar = tmp_path / "cache.txt.provenance"
+        before = cache.read_bytes(), sidecar.read_bytes()
         code, _, err = run_cli(["count", "8", "--cache", str(cache)])
         assert code == 1
         assert "282" in err and "283" in err
+        assert (cache.read_bytes(), sidecar.read_bytes()) == before
 
     def test_node_budget(self):
         code, _, err = run_cli(["count", "10", "--node-budget", "10"])
@@ -222,6 +225,16 @@ class TestAnalyze:
     def test_no_points_is_an_error(self):
         code, _, _ = run_cli(["analyze", "--m", "13"])  # 13*2^t never present
         assert code == 2
+
+    @pytest.mark.parametrize("m", ["0", "-3"])
+    def test_nonpositive_m_is_a_usage_error(self, m):
+        # In a subprocess with a timeout, so a point walk that never ends
+        # fails the test instead of hanging the suite.
+        proc = subprocess.run([sys.executable, "-m", "apfree", "analyze", "--m", m],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "m must be >= 1" in proc.stderr
 
 
 class TestEmitFigure:

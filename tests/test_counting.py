@@ -97,18 +97,22 @@ class TestSubsetDP:
         for n, value in expected.items():
             assert count_dp(CountJob(n, split_depth=min(2, n))) == value
 
-    @pytest.mark.parametrize("budget", [50, 10 ** 6])
+    @pytest.mark.parametrize("budget", [50, 5000, 10 ** 6])
     def test_outcome_does_not_depend_on_scheduling(self, budget):
-        outcomes = set()
-        for workers in (1, 2):
-            for depth in (0, 2):
-                job = CountJob(11, worker_count=workers, split_depth=depth,
-                               node_budget=budget)
-                try:
-                    outcomes.add(count_dp(job))
-                except ResourceLimitExceeded:
-                    outcomes.add(ResourceLimitExceeded)
-        assert outcomes == {ResourceLimitExceeded if budget == 50 else PAPER_SMALL[10]}
+        # Both counters; budget 5000 covers all 2460 backtracker leaves and
+        # every DP state, so each schedule must count in full.
+        for counter in (count_dp, count_pruned):
+            outcomes = set()
+            for workers in (1, 2):
+                for depth in (0, 2):
+                    job = CountJob(11, worker_count=workers, split_depth=depth,
+                                   node_budget=budget)
+                    try:
+                        outcomes.add(counter(job))
+                    except ResourceLimitExceeded:
+                        outcomes.add(ResourceLimitExceeded)
+            expected = ResourceLimitExceeded if budget == 50 else PAPER_SMALL[10]
+            assert outcomes == {expected}, counter.__name__
 
     def test_node_budget_counts_expanded_states(self):
         # Every level but the last is expanded; the budget may be used up

@@ -3,8 +3,7 @@ import itertools
 import pytest
 
 from apfree import (ConstructionViolation, InputNot3APFree, LengthMismatch,
-                    ThetaTable, ValueUnavailable, count_via_doubling, double,
-                    double_odd, is_3ap_free, validate)
+                    double, double_odd, is_3ap_free, validate)
 from apfree.doubling import EVEN_BLOCK_FIRST, ODD_BLOCK_FIRST
 from conftest import PAPER_SMALL
 
@@ -117,19 +116,3 @@ class TestDoubleOdd:
         second = {double_odd(a, b, ODD_BLOCK_FIRST).values
                   for a in small for b in big}
         assert not first & second
-
-
-class TestCountViaDoubling:
-    def test_examples(self):
-        tbl = ThetaTable()
-        assert count_via_doubling(1, tbl) == 2
-        assert count_via_doubling(2, tbl) == 8
-        assert count_via_doubling(5, tbl) == 800
-        # The bound is consistent with the published counts.
-        assert count_via_doubling(2, tbl) <= tbl.value(4)
-        assert count_via_doubling(5, tbl) <= tbl.value(10)
-        assert count_via_doubling(1, tbl) == tbl.value(2)  # tight at k=1
-
-    def test_missing_value(self):
-        with pytest.raises(ValueUnavailable):
-            count_via_doubling(12, ThetaTable())

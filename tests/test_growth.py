@@ -5,6 +5,7 @@ from apfree import (ParseError, ThetaTable, ValueUnavailable, certificate_text,
                     envelope_estimates, global_theta_bounds, limit_bracket,
                     monotone_report, parse_certificate, reference_constants,
                     separate, subsequence_point, verify_certificate_text)
+from apfree.growth import doubling_points
 from apfree.roots import ROUND_FLOOR, decimal_nth_root
 from apfree.table import PROVENANCE_INGESTED
 from conftest import THETA_64, THETA_75
@@ -209,6 +210,22 @@ class TestMonotoneReport:
         r = monotone_report(1, ThetaTable(), max_n=2)
         assert r.passed
         assert "t=1->2" not in r.detail
+
+
+class TestDoublingPoints:
+    def test_points_in_the_table(self):
+        tbl = ThetaTable()
+        assert doubling_points(1, tbl) == [(0, 1), (1, 2), (2, 4), (3, 8), (6, 64)]
+        assert doubling_points(3, tbl) == [(0, 3), (1, 6)]
+        assert doubling_points(1, tbl, max_n=5) == [(0, 1), (1, 2), (2, 4)]
+        assert doubling_points(13, tbl) == []
+
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_rejects_nonpositive_m(self, m):
+        with pytest.raises(ValueError):
+            doubling_points(m, ThetaTable())
+        with pytest.raises(ValueError):
+            monotone_report(m, ThetaTable())
 
 
 class TestReferenceConstants:

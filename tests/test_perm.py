@@ -93,6 +93,13 @@ class TestFind3AP:
         got = find_3ap(validate(vals))
         assert (None if got is None else tuple(got)) == brute_find_3ap(vals)
 
+    @settings(max_examples=100)
+    @given(st.integers(9, 40).flatmap(lambda n: st.permutations(list(range(1, n + 1)))))
+    def test_matches_brute_scan_longer(self, vals):
+        # Longer inputs reach every offset of the padded position table.
+        got = find_3ap(validate(vals))
+        assert (None if got is None else tuple(got)) == brute_find_3ap(vals)
+
 
 class TestIs3APFree:
     def test_examples(self):
