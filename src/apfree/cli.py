@@ -5,11 +5,17 @@ check passed, 1 when a mathematical check failed (a violated inequality,
 a found 3AP, a non-separating certificate, a value conflict), 2 for
 usage and I/O errors. Output is deterministic: identical invocations
 against identical cache state print identical bytes.
+
+`main(argv)` may be called any number of times in one process, as
+`scripts/reproduce.py` does. The argument parser is built on the first
+call, not at import, and reused by every later call; parsing leaves no
+state in it, so each call sees only its own argv.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -77,6 +83,8 @@ def cmd_double(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.max is not None and args.max < 1:
+        raise ApfreeError(f"--max must be >= 1, got {args.max}")
     tbl = _assemble_table(cache=args.cache, bfile=args.bfile)
     max_n = args.max if args.max is not None else (max(tbl.available()) if len(tbl) else 0)
     present = tbl.available(max_n)
@@ -152,15 +160,13 @@ def cmd_analyze(args) -> int:
     for t, n in points:
         pt = growth.subsequence_point(m, t, tbl, digits)
         bracket = growth.limit_bracket(m, t, tbl)
+        lower = bracket.lower_decimal(digits).text
+        upper = bracket.upper_decimal(digits).text
         lines.append(f"point m={m} t={t} n={n}: theta(n)^(1/n) = {pt.value} "
                      f"[{tbl.provenance(n)}]")
-        lines.append(f"  limit({m}) >= {bracket.lower_decimal(digits).text}"
-                     f"  limit({m}) <= {bracket.upper_decimal(digits).text}")
-    best_t, best_n = points[-1]
-    best = growth.limit_bracket(m, best_t, tbl)
-    lines.append(f"best bracket (from n={best_n}): "
-                 f"{best.lower_decimal(digits).text} <= limit({m}) <= "
-                 f"{best.upper_decimal(digits).text}")
+        lines.append(f"  limit({m}) >= {lower}  limit({m}) <= {upper}")
+    # The best bracket is the last point's (the largest n), rendered above.
+    lines.append(f"best bracket (from n={n}): {lower} <= limit({m}) <= {upper}")
     for label, root in growth.reference_constants(tbl, digits=min(digits, 6)):
         lines.append(f"reference {label} = {root.text}")
     if growth.LIMINF_POINT in tbl and growth.LIMSUP_POINT in tbl:
@@ -268,8 +274,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process, built on first use: building it takes tens of
+# times longer than a parse, and a parse does not change it.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConflictError, ConstructionViolation) as exc:

@@ -51,11 +51,11 @@ class CountJob:
     worker_count and split_depth are validated here and then ignored by
     both counters that take a job; they remain so that existing callers
     and the CLI's --jobs and --split-depth keep working. node_budget, if
-    set, caps the work: for `count_pruned` the number of permutations
-    counted, for `count_dp` the number of DP states expanded. Both caps
-    are global, so the outcome is the same for every worker_count and
-    split_depth. Exhausting the budget is a hard ResourceLimitExceeded,
-    never a truncated count.
+    set, must be >= 0 and caps the work: for `count_pruned` the number of
+    permutations counted, for `count_dp` the number of DP states
+    expanded. Both caps are global, so the outcome is the same for every
+    worker_count and split_depth. Exhausting the budget is a hard
+    ResourceLimitExceeded, never a truncated count.
     """
 
     n: int
@@ -72,6 +72,8 @@ class CountJob:
             raise ValueError(
                 f"split_depth must be in 0..{self.n}, got {self.split_depth}"
             )
+        if self.node_budget is not None and self.node_budget < 0:
+            raise ValueError(f"node_budget must be >= 0, got {self.node_budget}")
 
 
 def count_oracle(n: int, ceiling: int = ORACLE_CEILING_DEFAULT) -> int:

@@ -1,9 +1,10 @@
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
-from apfree import ThetaTable, save_table
+from apfree import ThetaTable, counting, save_table
 from apfree.table import PROVENANCE_INGESTED
 from conftest import FIXTURE_BFILE, REPO_ROOT, pow2_newton_root, run_cli
 
@@ -64,6 +65,11 @@ class TestCount:
         code, _, err = run_cli(["count", "10", "--node-budget", "10"])
         assert code == 2
         assert "budget" in err
+
+    def test_negative_node_budget_is_usage_error(self):
+        code, out, err = run_cli(["count", "5", "--node-budget", "-1"])
+        assert (code, out) == (2, "")
+        assert err == "error: node_budget must be >= 0, got -1\n"
 
 
 class TestCheck:
@@ -138,6 +144,12 @@ class TestVerify:
     def test_informational_monotonicity_note(self):
         _, out, _ = run_cli(["verify", "--max", "11"])
         assert "nondecreasing" in out and "informational" in out
+
+    @pytest.mark.parametrize("max_n", ["0", "-5"])
+    def test_max_below_one_is_usage_error(self, max_n):
+        code, out, err = run_cli(["verify", "--max", max_n])
+        assert (code, out) == (2, "")
+        assert err == f"error: --max must be >= 1, got {max_n}\n"
 
 
 class TestSeparate:
@@ -304,6 +316,59 @@ class TestHarness:
     ])
     def test_output_is_deterministic(self, argv):
         assert run_cli(argv) == run_cli(argv)
+
+    def test_repeated_calls_leak_no_parser_state(self, monkeypatch):
+        # One process, one parser: each request must behave as it does in a
+        # fresh interpreter. COLUMNS fixes the help width on both sides.
+        monkeypatch.setenv("COLUMNS", "80")
+        oracle_calls = []
+        real_oracle = counting.count_oracle
+        monkeypatch.setattr(counting, "count_oracle",
+                            lambda n: oracle_calls.append(n) or real_oracle(n))
+        sequence = [
+            ["count", "5", "--oracle"],
+            ["count", "5"],
+            ["separate", "--digits", "50"],
+            ["separate"],
+            ["count"],
+            ["count", "6"],
+            ["--help"],
+            ["--help"],
+        ]
+        in_process = [run_cli(argv) for argv in sequence]
+        assert oracle_calls == [5]
+        assert "lower_decimal: 2.27953231299\n" in in_process[3][1]
+        assert in_process[4][0] == 2
+        for argv, got in zip(sequence, in_process):
+            proc = subprocess.run([sys.executable, "-m", "apfree", *argv],
+                                  capture_output=True, text=True)
+            assert got == (proc.returncode, proc.stdout, proc.stderr), argv
+
+    def test_parser_is_built_on_first_call_not_at_import(self):
+        # A fresh interpreter, since this one imported apfree.cli long ago.
+        script = textwrap.dedent("""
+            import argparse, contextlib, io
+            built = []
+            init = argparse.ArgumentParser.__init__
+            def counting_init(self, *args, **kwargs):
+                built.append(self)
+                init(self, *args, **kwargs)
+            argparse.ArgumentParser.__init__ = counting_init
+            import apfree.cli
+            counts = [len(built)]
+            for argv in (["count", "5"], ["check", "1,3,2"]):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    apfree.cli.main(argv)
+                counts.append(len(built))
+            print(*counts)
+        """)
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        at_import, after_first, after_second = map(int, proc.stdout.split())
+        assert at_import == 0
+        assert after_first > 0  # the top-level parser and its subparsers
+        assert after_second == after_first
 
     def test_module_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "apfree", "count", "6"],

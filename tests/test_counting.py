@@ -69,6 +69,14 @@ class TestPrunedCounter:
         with pytest.raises(ValueError):
             CountJob(5, split_depth=-1)
 
+    def test_negative_node_budget_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^node_budget must be >= 0, got -1$"):
+            CountJob(5, node_budget=-1)
+        # A budget of 0 is a valid job that no count fits in.
+        for counter in (count_dp, count_pruned):
+            with pytest.raises(ResourceLimitExceeded):
+                counter(CountJob(5, node_budget=0))
+
     def test_node_budget_exhaustion_is_an_error(self):
         with pytest.raises(ResourceLimitExceeded):
             count_pruned(CountJob(10, node_budget=50))
