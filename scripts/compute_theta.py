@@ -7,7 +7,7 @@ recomputed.
 
 Usage examples:
   python scripts/compute_theta.py --max 16
-  python scripts/compute_theta.py --min 12 --max 18 --jobs 4 --cache out/theta_cache.txt
+  python scripts/compute_theta.py --min 12 --max 18 --cache out/theta_cache.txt
 """
 
 import argparse
@@ -23,10 +23,12 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--min", type=int, default=1)
     parser.add_argument("--max", type=int, default=16)
-    parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--split-depth", type=int, default=0)
     parser.add_argument("--cache", default="out/theta_cache.txt")
     args = parser.parse_args()
+    if args.min < 1:
+        parser.error(f"--min must be >= 1, got {args.min}")
+    if args.max < args.min:
+        parser.error(f"--max must be >= --min, got {args.max} < {args.min}")
 
     cache = Path(args.cache)
     cache.parent.mkdir(parents=True, exist_ok=True)
@@ -37,9 +39,7 @@ def main():
     for n in range(args.min, args.max + 1):
         started = time.monotonic()
         known = n in tbl
-        value = theta(n, tbl, POLICY_COMPUTE_IF_MISSING,
-                      worker_count=args.jobs,
-                      split_depth=min(args.split_depth, n))
+        value = theta(n, tbl, POLICY_COMPUTE_IF_MISSING)
         elapsed = time.monotonic() - started
         tag = tbl.provenance(n) if known else "computed now"
         print(f"n={n}: {value}  [{tag}, {elapsed:.2f}s]")

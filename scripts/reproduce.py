@@ -34,7 +34,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-count", type=int, default=14,
                         help="compute exact counts up to this n (default 14)")
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--bfile", default=None,
                         help="published A003407 b-file for the large-n steps")
     parser.add_argument("--outdir", default="out")
@@ -47,8 +46,7 @@ def main():
     worst = 0
     for n in range(1, args.max_count + 1):
         worst = max(worst, run(f"count n={n}",
-                               ["count", str(n), "--jobs", str(args.jobs),
-                                "--cache", cache]))
+                               ["count", str(n), "--cache", cache]))
 
     if args.bfile:
         worst = max(worst, run("ingest published values",

@@ -20,7 +20,6 @@ import sys
 from pathlib import Path
 
 from . import counting, dataio, doubling, growth, perm
-from .counting import CountJob
 from .errors import ApfreeError, ConflictError, ConstructionViolation
 from .table import ThetaTable
 
@@ -46,12 +45,14 @@ def _parse_mt(text: str) -> tuple[int, int]:
 
 
 def cmd_count(args) -> int:
+    if args.jobs < 1:
+        raise ApfreeError(f"--jobs must be >= 1, got {args.jobs}")
+    counting._check_count_args(args.n, args.node_budget)
     tbl = _assemble_table(cache=args.cache)
     if args.oracle:
         value = counting.count_oracle(args.n)
     else:
-        value = counting.count_dp(
-            CountJob(args.n, args.jobs, args.split_depth, args.node_budget))
+        value = counting.count_dp(args.n, args.node_budget)
     counting._record_computed(tbl, args.n, value)
     print(value)
     return 0
@@ -207,17 +208,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="count 3AP-free permutations of {1..n}")
     p.add_argument("n", type=int)
-    p.add_argument("--oracle", action="store_true",
-                   help="use the factorial enumeration oracle instead")
+    route = p.add_mutually_exclusive_group()
+    route.add_argument("--oracle", action="store_true",
+                       help="use the factorial enumeration oracle instead")
+    route.add_argument("--node-budget", type=int, default=None, metavar="B",
+                       help="fail with exit 2 once more than B DP states have "
+                            "been expanded, instead of counting on")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="accepted for compatibility; the subset DP runs in one "
-                        "process and the count does not depend on it")
-    p.add_argument("--split-depth", type=int, default=0, metavar="D",
-                   help="accepted for compatibility (0..n); the count does not "
-                        "depend on it")
-    p.add_argument("--node-budget", type=int, default=None, metavar="B",
-                   help="fail with exit 2 once more than B DP states have been "
-                        "expanded, instead of counting on")
+                   help="checked (N >= 1) and otherwise unused: the subset DP "
+                        "runs in one process. Kept while the benchmark's "
+                        "count-jobs workload passes it (ROADMAP item 3)")
     p.add_argument("--cache", default=None, metavar="PATH")
     p.set_defaults(func=cmd_count)
 

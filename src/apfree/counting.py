@@ -25,12 +25,16 @@ of ways to finish a prefix depends only on which values it holds, not
 on their order. The DP exploits this: placing v after the set P is legal
 iff no u in P has 2v - u still unplaced, and the number of legal
 orderings of P is the sum over its legal last values.
+
+`count_dp(n, node_budget)` and `count_pruned(n, node_budget)` take
+nothing else: both run in one process, and the optional budget is a
+global cap on work (DP states expanded, or permutations counted) whose
+exhaustion raises ResourceLimitExceeded, so a count is exact or absent.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from . import dataio
@@ -44,36 +48,12 @@ POLICY_LOOKUP_ONLY = "lookup_only"
 POLICY_COMPUTE_IF_MISSING = "compute_if_missing"
 
 
-@dataclass(frozen=True)
-class CountJob:
-    """Parameters for one count.
-
-    worker_count and split_depth are validated here and then ignored by
-    both counters that take a job; they remain so that existing callers
-    and the CLI's --jobs and --split-depth keep working. node_budget, if
-    set, must be >= 0 and caps the work: for `count_pruned` the number of
-    permutations counted, for `count_dp` the number of DP states
-    expanded. Both caps are global, so the outcome is the same for every
-    worker_count and split_depth. Exhausting the budget is a hard
-    ResourceLimitExceeded, never a truncated count.
-    """
-
-    n: int
-    worker_count: int = 1
-    split_depth: int = 0
-    node_budget: Optional[int] = None
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.worker_count < 1:
-            raise ValueError(f"worker_count must be >= 1, got {self.worker_count}")
-        if not 0 <= self.split_depth <= self.n:
-            raise ValueError(
-                f"split_depth must be in 0..{self.n}, got {self.split_depth}"
-            )
-        if self.node_budget is not None and self.node_budget < 0:
-            raise ValueError(f"node_budget must be >= 0, got {self.node_budget}")
+def _check_count_args(n: int, node_budget: Optional[int]) -> None:
+    """Reject n < 1 and a negative node budget with ValueError."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if node_budget is not None and node_budget < 0:
+        raise ValueError(f"node_budget must be >= 0, got {node_budget}")
 
 
 def count_oracle(n: int, ceiling: int = ORACLE_CEILING_DEFAULT) -> int:
@@ -136,20 +116,20 @@ def free_permutations(n: int) -> Iterator[tuple[int, ...]]:
     return _enumerate_free(n)
 
 
-def count_pruned(job: CountJob) -> int:
-    """Exact count of 3AP-free permutations of {1, ..., job.n} by backtracking.
+def count_pruned(n: int, node_budget: Optional[int] = None) -> int:
+    """Exact count of 3AP-free permutations of {1, ..., n} by backtracking.
 
-    Counts what `free_permutations` yields. job.node_budget caps the
-    number of permutations counted; job.worker_count and job.split_depth
-    are ignored.
+    Counts what `free_permutations` yields. node_budget, if set, must be
+    >= 0 and caps the number of permutations counted; exhausting it is a
+    hard ResourceLimitExceeded, never a truncated count.
     """
-    budget = job.node_budget
+    _check_count_args(n, node_budget)
     total = 0
-    for _ in _enumerate_free(job.n):
+    for _ in _enumerate_free(n):
         total += 1
-        if budget is not None and total > budget:
+        if node_budget is not None and total > node_budget:
             raise ResourceLimitExceeded(
-                f"node budget of {budget} permutations exhausted")
+                f"node budget of {node_budget} permutations exhausted")
     return total
 
 
@@ -199,22 +179,22 @@ def _dp_levels(n: int) -> Iterator[dict[int, int]]:
         yield level
 
 
-def count_dp(job: CountJob) -> int:
-    """Exact count of 3AP-free permutations of {1, ..., job.n} by subset DP.
+def count_dp(n: int, node_budget: Optional[int] = None) -> int:
+    """Exact count of 3AP-free permutations of {1, ..., n} by subset DP.
 
     Sums path counts over placed-value sets level by level, holding only
-    the level being expanded and the one being built. job.node_budget caps
-    the total number of states expanded; job.worker_count and
-    job.split_depth are ignored, so the outcome is the same for every value
-    of them.
+    the level being expanded and the one being built. node_budget, if
+    set, must be >= 0 and caps the total number of states expanded;
+    exhausting it is a hard ResourceLimitExceeded, never a truncated count.
     """
-    levels = _dp_levels(job.n)
+    _check_count_args(n, node_budget)
+    levels = _dp_levels(n)
     expanded = 0
-    for _ in range(job.n):
+    for _ in range(n):
         expanded += len(next(levels))
-        if job.node_budget is not None and expanded > job.node_budget:
+        if node_budget is not None and expanded > node_budget:
             raise ResourceLimitExceeded(
-                f"node budget of {job.node_budget} DP states exhausted")
+                f"node budget of {node_budget} DP states exhausted")
     return sum(next(levels).values())
 
 
@@ -226,9 +206,7 @@ def _record_computed(tbl: ThetaTable, n: int, value: int) -> None:
         dataio.save_table(tbl, tbl.cache_path)
 
 
-def theta(n: int, tbl: ThetaTable, policy: str = POLICY_LOOKUP_ONLY, *,
-          worker_count: int = 1, split_depth: int = 0,
-          node_budget: Optional[int] = None) -> int:
+def theta(n: int, tbl: ThetaTable, policy: str = POLICY_LOOKUP_ONLY) -> int:
     """Exact count for n from the table, optionally computing on a miss.
 
     Under compute_if_missing the subset DP runs, the result is
@@ -242,6 +220,6 @@ def theta(n: int, tbl: ThetaTable, policy: str = POLICY_LOOKUP_ONLY, *,
         return e.value
     if policy == POLICY_LOOKUP_ONLY:
         raise ValueUnavailable(f"no count for n={n} and policy is lookup_only")
-    value = count_dp(CountJob(n, worker_count, split_depth, node_budget))
+    value = count_dp(n)
     _record_computed(tbl, n, value)
     return value

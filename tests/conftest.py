@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from apfree import CountJob, ThetaTable, count_dp
+from apfree import ThetaTable, count_dp
 from apfree.cli import main as cli_main
 from apfree.table import PROVENANCE_COMPUTED
 
@@ -98,7 +98,7 @@ def computed_table() -> ThetaTable:
     """Builtin values plus counts for n = 12..16 computed by the subset DP."""
     tbl = ThetaTable()
     for n in range(12, 17):
-        tbl.insert(n, count_dp(CountJob(n)), PROVENANCE_COMPUTED)
+        tbl.insert(n, count_dp(n), PROVENANCE_COMPUTED)
     return tbl
 
 

@@ -16,7 +16,6 @@ from apfree import (ThetaTable, certificate_text, check_global_bounds,
                     decimal_nth_root, envelope_estimates, free_permutations,
                     ingest_bfile, is_3ap_free, monotone_report, separate,
                     validate, double, double_odd)
-from apfree.counting import CountJob
 from apfree.doubling import EVEN_BLOCK_FIRST, ODD_BLOCK_FIRST
 from apfree.roots import ROUND_FLOOR, ROUND_NEAREST
 from conftest import (COMPUTED_MID, FIXTURE_BFILE, PAPER_SMALL, THETA_64,
@@ -49,7 +48,7 @@ def test_criterion_01_value_regression():
 
 def test_criterion_02_oracle_equivalence():
     for n in range(1, 10):
-        assert count_pruned(CountJob(n, split_depth=min(2, n))) == count_oracle(n)
+        assert count_pruned(n) == count_oracle(n)
     report(2, "pruned counter equals enumeration oracle for n=1..9")
 
 

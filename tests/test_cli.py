@@ -4,11 +4,13 @@ import textwrap
 
 import pytest
 
-from apfree import ThetaTable, counting, save_table
+from apfree import ThetaTable, counting, load_table, save_table
 from apfree.table import PROVENANCE_INGESTED
-from conftest import FIXTURE_BFILE, REPO_ROOT, pow2_newton_root, run_cli
+from conftest import (COMPUTED_MID, FIXTURE_BFILE, PAPER_SMALL, REPO_ROOT,
+                      pow2_newton_root, run_cli)
 
 CHECKER = REPO_ROOT / "scripts" / "check_certificate.py"
+COMPUTE_THETA = REPO_ROOT / "scripts" / "compute_theta.py"
 
 
 def run_checker(cert_path):
@@ -30,11 +32,6 @@ class TestCount:
         code, _, err = run_cli(["count", "11", "--oracle"])
         assert code == 2
         assert "oracle ceiling" in err
-
-    def test_split_depth_variants(self):
-        for depth in ("0", "1", "4"):
-            code, out, _ = run_cli(["count", "8", "--split-depth", depth])
-            assert (code, out) == (0, "282\n")
 
     def test_jobs_variants(self):
         baseline = run_cli(["count", "9"])
@@ -70,6 +67,57 @@ class TestCount:
         code, out, err = run_cli(["count", "5", "--node-budget", "-1"])
         assert (code, out) == (2, "")
         assert err == "error: node_budget must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--node-budget", "-1"], "not allowed with argument --oracle"),
+        (["--jobs", "0"], "error: --jobs must be >= 1, got 0"),
+        (["--node-budget", "10"], "not allowed with argument --oracle"),
+    ], ids=["negative-budget", "zero-jobs", "budget"])
+    def test_oracle_route_validates_flags(self, flags, message):
+        # The oracle has no budget to enforce, so any --node-budget is a
+        # usage error there, and --jobs is checked on every route.
+        code, out, err = run_cli(["count", "5", "--oracle", *flags])
+        assert (code, out) == (2, "")
+        assert message in err
+
+
+class TestComputeTheta:
+    @staticmethod
+    def run_script(*args):
+        return subprocess.run([sys.executable, str(COMPUTE_THETA), *args],
+                              capture_output=True, text=True, timeout=120)
+
+    def test_fills_cache_then_reuses_it(self, tmp_path):
+        cache = tmp_path / "ct" / "theta_cache.txt"
+        first = self.run_script("--max", "12", "--cache", str(cache))
+        assert first.returncode == 0, first.stderr
+        tbl = ThetaTable(include_builtins=False)
+        load_table(cache, tbl)
+        assert tbl.available(12) == list(range(1, 13))
+        assert [tbl.value(n) for n in range(1, 12)] == list(PAPER_SMALL)
+        assert tbl.value(12) == COMPUTED_MID[12]
+        lines = first.stdout.splitlines()
+        assert lines[11].startswith("n=12: 6128  [computed now, ")
+        assert lines[-1] == f"cache written to {cache}"
+
+        second = self.run_script("--max", "12", "--cache", str(cache))
+        assert second.returncode == 0, second.stderr
+        lines = second.stdout.splitlines()
+        assert "computed now" not in second.stdout
+        for n, line in enumerate(lines[:11], start=1):
+            assert line.startswith(f"n={n}: {PAPER_SMALL[n - 1]}  [builtin, ")
+        assert lines[11].startswith("n=12: 6128  [computed, ")
+
+    @pytest.mark.parametrize("bounds, message", [
+        (["--min", "0"], "error: --min must be >= 1, got 0"),
+        (["--min", "5", "--max", "3"], "error: --max must be >= --min, got 3 < 5"),
+    ], ids=["min-below-one", "max-below-min"])
+    def test_bad_range_is_usage_error(self, tmp_path, bounds, message):
+        cache = tmp_path / "ct" / "theta_cache.txt"
+        proc = self.run_script(*bounds, "--cache", str(cache))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert message in proc.stderr
+        assert not cache.parent.exists()
 
 
 class TestCheck:

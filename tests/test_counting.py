@@ -2,10 +2,10 @@ import itertools
 
 import pytest
 
-from apfree import (CountJob, OracleRangeExceeded, ResourceLimitExceeded,
-                    ThetaTable, ValueUnavailable, count_dp, count_oracle,
-                    count_pruned, count_verified, free_permutations,
-                    is_3ap_free, theta, validate)
+from apfree import (OracleRangeExceeded, ResourceLimitExceeded, ThetaTable,
+                    ValueUnavailable, count_dp, count_oracle, count_pruned,
+                    count_verified, free_permutations, is_3ap_free, theta,
+                    validate)
 from apfree.counting import (POLICY_COMPUTE_IF_MISSING, POLICY_LOOKUP_ONLY,
                              _dp_levels)
 from apfree.table import (PROVENANCE_BUILTIN, PROVENANCE_COMPUTED,
@@ -35,110 +35,87 @@ class TestOracle:
 class TestPrunedCounter:
     def test_published_values_regression(self):
         for n in range(1, 12):
-            assert count_pruned(CountJob(n, split_depth=min(2, n))) == PAPER_SMALL[n - 1]
+            assert count_pruned(n) == PAPER_SMALL[n - 1]
 
     def test_matches_oracle(self):
         for n in range(1, 10):
-            assert count_pruned(CountJob(n, split_depth=min(2, n))) == count_oracle(n)
+            assert count_pruned(n) == count_oracle(n)
 
     def test_computed_values_regression(self):
         for n in (12, 13, 14):
-            assert count_pruned(CountJob(n)) == COMPUTED_MID[n]
-
-    def test_split_depth_and_workers_do_not_change_result(self):
-        expected = PAPER_SMALL[8]
-        for workers in (1, 2, 8):
-            for depth in (0, 1, 2, 3):
-                job = CountJob(9, worker_count=workers, split_depth=depth)
-                assert count_pruned(job) == expected
-        assert count_pruned(CountJob(10, split_depth=10)) == PAPER_SMALL[9]
+            assert count_pruned(n) == COMPUTED_MID[n]
 
     @pytest.mark.slow
     def test_oracle_equivalence_at_eleven(self):
         # Full 11! enumeration, around a minute; opt in with -m slow.
         assert count_oracle(11, ceiling=11) == PAPER_SMALL[10]
-        assert count_pruned(CountJob(11)) == PAPER_SMALL[10]
+        assert count_pruned(11) == PAPER_SMALL[10]
 
     def test_job_validation(self):
-        with pytest.raises(ValueError):
-            CountJob(0)
-        with pytest.raises(ValueError):
-            CountJob(5, worker_count=0)
-        with pytest.raises(ValueError):
-            CountJob(5, split_depth=6)
-        with pytest.raises(ValueError):
-            CountJob(5, split_depth=-1)
+        for counter in (count_dp, count_pruned):
+            for n in (0, -3):
+                with pytest.raises(ValueError, match=rf"^n must be >= 1, got {n}$"):
+                    counter(n)
 
     def test_negative_node_budget_is_rejected(self):
-        with pytest.raises(ValueError, match=r"^node_budget must be >= 0, got -1$"):
-            CountJob(5, node_budget=-1)
-        # A budget of 0 is a valid job that no count fits in.
         for counter in (count_dp, count_pruned):
+            with pytest.raises(ValueError, match=r"^node_budget must be >= 0, got -1$"):
+                counter(5, node_budget=-1)
+            # A budget of 0 is valid, and no count fits in it.
             with pytest.raises(ResourceLimitExceeded):
-                counter(CountJob(5, node_budget=0))
+                counter(5, node_budget=0)
 
     def test_node_budget_exhaustion_is_an_error(self):
         with pytest.raises(ResourceLimitExceeded):
-            count_pruned(CountJob(10, node_budget=50))
+            count_pruned(10, node_budget=50)
 
     def test_node_budget_generous_is_fine(self):
-        assert count_pruned(CountJob(6, node_budget=10 ** 6)) == 48
-
-    def test_node_budget_applies_to_parallel_tasks(self):
-        with pytest.raises(ResourceLimitExceeded):
-            count_pruned(CountJob(10, worker_count=2, node_budget=50))
+        assert count_pruned(6, node_budget=10 ** 6) == 48
 
 
 class TestSubsetDP:
     def test_matches_oracle(self):
         for n in range(1, 10):
-            assert count_dp(CountJob(n, split_depth=min(2, n))) == count_oracle(n)
+            assert count_dp(n) == count_oracle(n)
 
     def test_matches_pruned_counter(self):
         for n in range(1, 14):
-            job = CountJob(n, split_depth=min(2, n))
-            assert count_dp(job) == count_pruned(job)
+            assert count_dp(n) == count_pruned(n)
 
     def test_published_and_computed_values(self):
         expected = dict(enumerate(PAPER_SMALL, start=1)) | COMPUTED_MID
         assert sorted(expected) == list(range(1, 17))
         for n, value in expected.items():
-            assert count_dp(CountJob(n, split_depth=min(2, n))) == value
+            assert count_dp(n) == value
 
     @pytest.mark.parametrize("budget", [50, 5000, 10 ** 6])
     def test_outcome_does_not_depend_on_scheduling(self, budget):
         # Both counters; budget 5000 covers all 2460 backtracker leaves and
-        # every DP state, so each schedule must count in full.
+        # every DP state, so each must count in full.
         for counter in (count_dp, count_pruned):
-            outcomes = set()
-            for workers in (1, 2):
-                for depth in (0, 2):
-                    job = CountJob(11, worker_count=workers, split_depth=depth,
-                                   node_budget=budget)
-                    try:
-                        outcomes.add(counter(job))
-                    except ResourceLimitExceeded:
-                        outcomes.add(ResourceLimitExceeded)
-            expected = ResourceLimitExceeded if budget == 50 else PAPER_SMALL[10]
-            assert outcomes == {expected}, counter.__name__
+            if budget == 50:
+                with pytest.raises(ResourceLimitExceeded):
+                    counter(11, node_budget=budget)
+            else:
+                assert counter(11, node_budget=budget) == PAPER_SMALL[10]
 
     def test_node_budget_counts_expanded_states(self):
         # Every level but the last is expanded; the budget may be used up
         # exactly, and one state fewer is an error.
         expanded = sum(len(level) for level in list(_dp_levels(9))[:-1])
-        assert count_dp(CountJob(9, node_budget=expanded)) == PAPER_SMALL[8]
+        assert count_dp(9, node_budget=expanded) == PAPER_SMALL[8]
         with pytest.raises(ResourceLimitExceeded):
-            count_dp(CountJob(9, node_budget=expanded - 1))
+            count_dp(9, node_budget=expanded - 1)
 
     @pytest.mark.slow
     def test_pruned_counter_agrees_at_fourteen_to_sixteen(self):
         for n in (14, 15, 16):
-            assert count_pruned(CountJob(n)) == count_dp(CountJob(n))
+            assert count_pruned(n) == count_dp(n)
 
     @pytest.mark.slow
     def test_recomputes_builtin_theta_64(self):
         # Several minutes and a few hundred MB; opt in with -m slow.
-        assert count_dp(CountJob(64)) == THETA_64
+        assert count_dp(64) == THETA_64
 
 
 class TestFreePermutations:
@@ -163,7 +140,7 @@ def test_enumerate_and_verify_mode():
     # the independent 3AP test, and the totals agree with both routes.
     for n in range(1, 9):
         v = count_verified(n)
-        assert v == count_pruned(CountJob(n, split_depth=min(2, n)))
+        assert v == count_pruned(n)
         assert v == count_oracle(n)
 
 
