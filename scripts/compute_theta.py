@@ -3,7 +3,8 @@
 
 Results go into a b-file-format cache (with a provenance sidecar) that
 every other command can consume. Values already in the cache are not
-recomputed.
+recomputed, and a run that computes nothing new leaves the cache as it
+is.
 
 Usage examples:
   python scripts/compute_theta.py --max 16
@@ -44,7 +45,10 @@ def main():
         tag = tbl.provenance(n) if known else "computed now"
         print(f"n={n}: {value}  [{tag}, {elapsed:.2f}s]")
 
-    save_table(tbl, cache)
+    # `theta` saves the cache after each new value, so an interrupted run
+    # keeps what it computed; write it here only when there is none yet.
+    if not cache.exists():
+        save_table(tbl, cache)
     print(f"cache written to {cache}")
     return 0
 

@@ -18,12 +18,11 @@ from .errors import (ApfreeError, ConflictError, ConstructionViolation,
                      OracleRangeExceeded, ParseError, ResourceLimitExceeded,
                      ValueUnavailable)
 from .growth import (CheckReport, EnvelopeReport, GrowthBound,
-                     SeparationCertificate, SubsequencePoint,
-                     certificate_text, check_global_bounds, check_halving,
-                     check_sandwich, envelope_estimates, global_theta_bounds,
-                     limit_bracket, monotone_report, parse_certificate,
-                     reference_constants, separate, subsequence_point,
-                     verify_certificate_text)
+                     SeparationCertificate, certificate_text,
+                     check_global_bounds, check_halving, check_sandwich,
+                     envelope_estimates, global_theta_bounds, limit_bracket,
+                     monotone_report, reference_constants, separate,
+                     subsequence_point)
 from .perm import (APWitness, Permutation, complement, find_3ap, format_oneline,
                    is_3ap_free, parse_oneline, reverse, validate)
 from .roots import DecimalRoot, decimal_nth_root, nth_root_floor

@@ -159,11 +159,11 @@ def cmd_analyze(args) -> int:
     if not points:
         raise ApfreeError(f"no values available for any n = {m} * 2^t")
     for t, n in points:
-        pt = growth.subsequence_point(m, t, tbl, digits)
+        point = growth.subsequence_point(m, t, tbl, digits).text
         bracket = growth.limit_bracket(m, t, tbl)
         lower = bracket.lower_decimal(digits).text
         upper = bracket.upper_decimal(digits).text
-        lines.append(f"point m={m} t={t} n={n}: theta(n)^(1/n) = {pt.value} "
+        lines.append(f"point m={m} t={t} n={n}: theta(n)^(1/n) = {point} "
                      f"[{tbl.provenance(n)}]")
         lines.append(f"  limit({m}) >= {lower}  limit({m}) <= {upper}")
     # The best bracket is the last point's (the largest n), rendered above.

@@ -184,22 +184,24 @@ def load_table(path: Union[str, Path], tbl: Optional[ThetaTable] = None) -> Thet
 
     Entries get their sidecar provenance when the sidecar exists, and
     "ingested" otherwise. The file is checked before anything is
-    inserted: a value outside the universal bounds for its n, or a
-    sidecar tag for an n the cache lacks, raises ParseError. Values
-    conflicting with entries already in the table raise ConflictError.
+    inserted, so a failing load leaves the table untouched: a sidecar
+    tag for an n the cache lacks, or a value outside the universal
+    bounds for its n, raises ParseError, and a value conflicting with an
+    entry already in the table raises ConflictError.
     """
     if tbl is None:
         tbl = ThetaTable(cache_path=path)
     entries = [e for e in parse_bfile(path) if e.n != 0]
-    for e in entries:
-        violation = _bounds_violation(e)
-        if violation is not None:
-            raise ParseError(f"{path}: {violation}; the cache is corrupt")
     sidecar = provenance_path(path)
     tags = _read_provenances(sidecar) if sidecar.exists() else {}
     orphans = sorted(set(tags) - {e.n for e in entries})
     if orphans:
         raise ParseError(f"{sidecar}: tags for n={orphans} that {path} does not hold")
+    for e in entries:
+        violation = _bounds_violation(e)
+        if violation is not None:
+            raise ParseError(f"{path}: {violation}; the cache is corrupt")
+        tbl.check_insert(e.n, e.value, tags.get(e.n, PROVENANCE_INGESTED))
     for e in entries:
         tbl.insert(e.n, e.value, tags.get(e.n, PROVENANCE_INGESTED))
     return tbl

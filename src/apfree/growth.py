@@ -12,7 +12,9 @@ Separating two such limits therefore reduces to comparing one lower
 bracket against another's upper bracket, an inequality between nth roots
 of integers that cross-exponentiation turns into a finite comparison of
 two (large) integers. Everything that decides a verdict in this module
-is integer arithmetic; decimals are rendering only.
+is integer arithmetic; decimals are rendering only. A certificate
+written here is checked by scripts/check_certificate.py alone, which
+shares no code with this package.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ParseError, ValueUnavailable
 from .roots import ROUND_FLOOR, ROUND_NEAREST, DecimalRoot, decimal_nth_root
 from .table import ThetaTable
 
@@ -95,37 +96,14 @@ def check_global_bounds(n: int, tbl: ThetaTable) -> CheckReport:
     )
 
 
-@dataclass(frozen=True)
-class SubsequencePoint:
-    """One point of the doubling subsequence: theta(n)^(1/n) at n = m * 2^t.
-
-    The decimal approximation is truncated at `precision_digits` places
-    and certified by the exact bracket scaled^n <= theta(n)*10^(n*d) <
-    (scaled+1)^n.
-    """
-
-    m: int
-    t: int
-    n: int
-    root: DecimalRoot
-
-    @property
-    def value(self) -> str:
-        return self.root.text
-
-    @property
-    def precision_digits(self) -> int:
-        return self.root.digits
-
-
 def subsequence_point(m: int, t: int, tbl: ThetaTable,
-                      digits: int = DISPLAY_DIGITS_DEFAULT) -> SubsequencePoint:
-    """theta(n)^(1/n) for n = m * 2^t, to `digits` certified decimal places."""
+                      digits: int = DISPLAY_DIGITS_DEFAULT) -> DecimalRoot:
+    """theta(n)^(1/n) for n = m * 2^t (the root's degree), truncated at
+    `digits` decimal places."""
     if m < 1 or t < 0:
         raise ValueError(f"need m >= 1 and t >= 0, got m={m}, t={t}")
     n = m << t
-    value = tbl.value(n)
-    return SubsequencePoint(m, t, n, decimal_nth_root(value, n, digits, ROUND_FLOOR))
+    return decimal_nth_root(tbl.value(n), n, digits, ROUND_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -233,67 +211,6 @@ def certificate_text(cert: SeparationCertificate,
     return "\n".join(lines) + "\n"
 
 
-def parse_certificate(text: str) -> dict[str, str]:
-    """Parse the key/value certificate document into a dict of raw fields."""
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != "separation-certificate v1":
-        raise ParseError("missing certificate header", line=1)
-    fields: dict[str, str] = {}
-    for idx, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        if ":" not in line:
-            raise ParseError(f"expected 'key: value', got {line!r}", line=idx)
-        key, _, val = line.partition(":")
-        fields[key.strip()] = val.strip()
-    return fields
-
-
-def verify_certificate_text(text: str) -> list[str]:
-    """Re-derive every claim in a serialized certificate.
-
-    Returns a list of discrepancies, empty when the document is sound.
-    The checks: radicands are 2x and 21x the stated counts, the roots are
-    m * 2^t, lhs and rhs re-derive bit for bit, and the verdict matches
-    the integer comparison.
-    """
-    f = parse_certificate(text)
-    problems = []
-    try:
-        m_low, t_low = int(f["m_low"]), int(f["t_low"])
-        m_high, t_high = int(f["m_high"]), int(f["t_high"])
-        n_low, n_high = int(f["n_low"]), int(f["n_high"])
-        theta_low, theta_high = int(f["theta_low"]), int(f["theta_high"])
-        lower_radicand = int(f["lower_radicand"])
-        upper_radicand = int(f["upper_radicand"])
-        lower_root, upper_root = int(f["lower_root"]), int(f["upper_root"])
-        lhs, rhs = int(f["lhs"]), int(f["rhs"])
-        separated = f["separated"] == "true"
-    except KeyError as exc:
-        return [f"missing field {exc}"]
-    except ValueError as exc:
-        return [f"non-integer field: {exc}"]
-    if n_low != m_low << t_low:
-        problems.append(f"n_low {n_low} != m_low * 2^t_low = {m_low << t_low}")
-    if n_high != m_high << t_high:
-        problems.append(f"n_high {n_high} != m_high * 2^t_high = {m_high << t_high}")
-    if lower_root != n_low:
-        problems.append(f"lower_root {lower_root} != n_low {n_low}")
-    if upper_root != n_high:
-        problems.append(f"upper_root {upper_root} != n_high {n_high}")
-    if lower_radicand != LOWER_FACTOR * theta_low:
-        problems.append("lower_radicand is not 2 * theta_low")
-    if upper_radicand != UPPER_FACTOR * theta_high:
-        problems.append("upper_radicand is not 21 * theta_high")
-    if lhs != lower_radicand ** upper_root:
-        problems.append("lhs does not re-derive as lower_radicand ** upper_root")
-    if rhs != upper_radicand ** lower_root:
-        problems.append("rhs does not re-derive as upper_radicand ** lower_root")
-    if separated != (lhs > rhs):
-        problems.append("separated flag disagrees with lhs > rhs")
-    return problems
-
-
 def doubling_points(m: int, tbl: ThetaTable,
                     max_n: Optional[int] = None) -> list[tuple[int, int]]:
     """(t, n) for each n = m * 2^t in the table, in increasing order, up
@@ -368,12 +285,10 @@ def reference_constants(tbl: ThetaTable, digits: int = 6) -> list[tuple[str, Dec
 @dataclass(frozen=True)
 class EnvelopeReport:
     """Outermost proven estimates for the root sequence from large-n data:
-    a lower estimate for its liminf and an upper estimate for its limsup,
-    plus whichever named reference constants the table supports."""
+    a lower estimate for its liminf and an upper estimate for its limsup."""
 
     liminf_lower: DecimalRoot   # (2*theta(160))^(1/160)
     limsup_upper: DecimalRoot   # (21*theta(128))^(1/128)
-    references: tuple[tuple[str, DecimalRoot], ...]
 
 
 LIMINF_POINT = 160
@@ -389,5 +304,4 @@ def envelope_estimates(tbl: ThetaTable, digits: int = 5) -> EnvelopeReport:
                                       digits, ROUND_NEAREST),
         limsup_upper=decimal_nth_root(UPPER_FACTOR * hi_val, LIMSUP_POINT,
                                       digits, ROUND_NEAREST),
-        references=tuple(reference_constants(tbl, digits)),
     )

@@ -77,7 +77,16 @@ class ThetaTable:
 
     def insert(self, n: int, value: int, provenance: str) -> bool:
         """Add an entry. Returns True if new, False if it matched an
-        existing entry; raises ConflictError on any disagreement."""
+        existing entry; raises as check_insert does."""
+        if not self.check_insert(n, value, provenance):
+            return False
+        self.entries[n] = ThetaEntry(value, provenance)
+        return True
+
+    def check_insert(self, n: int, value: int, provenance: str) -> bool:
+        """Whether insert would add the entry (False: it matches one
+        already held), without adding it. Raises ValueError for a bad
+        entry and ConflictError for one that disagrees with the table."""
         if n < 1:
             raise ValueError(f"table keys are positive integers, got n={n}")
         if value < 0:
@@ -92,7 +101,6 @@ class ThetaTable:
                     f"existing {existing.value} ({existing.provenance})"
                 )
             return False
-        self.entries[n] = ThetaEntry(value, provenance)
         return True
 
     def available(self, max_n: Optional[int] = None) -> list[int]:

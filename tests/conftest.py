@@ -5,6 +5,8 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,6 +34,8 @@ THETA_75 = 30235147387260979648843264
 COMPUTED_MID = {12: 6128, 13: 12840, 14: 29380, 15: 74904, 16: 212728}
 
 FIXTURE_BFILE = TESTS_DIR / "data" / "theta_small.bfile"
+
+CHECKER = REPO_ROOT / "scripts" / "check_certificate.py"
 
 
 def brute_find_3ap(values):
@@ -111,3 +115,10 @@ def run_cli(argv):
         except SystemExit as exc:  # argparse exits on usage errors
             code = exc.code if isinstance(exc.code, int) else 2
     return code, out.getvalue(), err.getvalue()
+
+
+def run_checker(cert_path):
+    """Run the standalone certificate checker, returning (exit_code, stdout)."""
+    proc = subprocess.run([sys.executable, str(CHECKER), str(cert_path)],
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout

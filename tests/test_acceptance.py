@@ -19,7 +19,8 @@ from apfree import (ThetaTable, certificate_text, check_global_bounds,
 from apfree.doubling import EVEN_BLOCK_FIRST, ODD_BLOCK_FIRST
 from apfree.roots import ROUND_FLOOR, ROUND_NEAREST
 from conftest import (COMPUTED_MID, FIXTURE_BFILE, PAPER_SMALL, THETA_64,
-                      THETA_75, real_bfile_path, requires_real_data, run_cli)
+                      THETA_75, real_bfile_path, requires_real_data,
+                      run_checker, run_cli)
 
 
 def report(number, name):
@@ -138,20 +139,17 @@ def test_criterion_07_separation_certificate():
 
 
 @requires_real_data
-def test_criterion_08_wider_gap(real_table):
+def test_criterion_08_wider_gap(real_table, tmp_path):
     cert = separate(1, 7, 81, 1, real_table)
     assert cert.separated is True
     assert cert.lower_bound.root == 128
     assert cert.upper_bound.root == 162
     assert cert.lower_bound.lower_decimal(5).text == "2.28484"
     assert cert.upper_bound.upper_decimal(5).text == "2.23760"
-    assert verify_text_ok(certificate_text(cert))
+    cert_path = tmp_path / "cert.txt"
+    cert_path.write_text(certificate_text(cert), encoding="utf-8")
+    assert run_checker(cert_path)[0] == 0
     report(8, "n=128 vs n=162 certificate reproduces 2.28484 > 2.23760")
-
-
-def verify_text_ok(text):
-    from apfree import verify_certificate_text
-    return verify_certificate_text(text) == []
 
 
 @requires_real_data

@@ -7,16 +7,9 @@ import pytest
 from apfree import ThetaTable, counting, load_table, save_table
 from apfree.table import PROVENANCE_INGESTED
 from conftest import (COMPUTED_MID, FIXTURE_BFILE, PAPER_SMALL, REPO_ROOT,
-                      pow2_newton_root, run_cli)
+                      pow2_newton_root, run_checker, run_cli)
 
-CHECKER = REPO_ROOT / "scripts" / "check_certificate.py"
 COMPUTE_THETA = REPO_ROOT / "scripts" / "compute_theta.py"
-
-
-def run_checker(cert_path):
-    proc = subprocess.run([sys.executable, str(CHECKER), str(cert_path)],
-                          capture_output=True, text=True)
-    return proc.returncode, proc.stdout
 
 
 class TestCount:
@@ -100,6 +93,12 @@ class TestComputeTheta:
         assert lines[11].startswith("n=12: 6128  [computed now, ")
         assert lines[-1] == f"cache written to {cache}"
 
+        files = (cache, cache.with_name(cache.name + ".provenance"))
+        def stamps():
+            return [(f.read_bytes(), f.stat().st_mtime_ns, f.stat().st_ino)
+                    for f in files]
+
+        written = stamps()
         second = self.run_script("--max", "12", "--cache", str(cache))
         assert second.returncode == 0, second.stderr
         lines = second.stdout.splitlines()
@@ -107,6 +106,15 @@ class TestComputeTheta:
         for n, line in enumerate(lines[:11], start=1):
             assert line.startswith(f"n={n}: {PAPER_SMALL[n - 1]}  [builtin, ")
         assert lines[11].startswith("n=12: 6128  [computed, ")
+        # Nothing new was computed, so neither file was rewritten.
+        assert stamps() == written
+
+    def test_writes_a_cache_when_nothing_is_computed(self, tmp_path):
+        cache = tmp_path / "ct" / "theta_cache.txt"
+        proc = self.run_script("--max", "5", "--cache", str(cache))
+        assert proc.returncode == 0, proc.stderr
+        loaded = load_table(cache, ThetaTable(include_builtins=False))
+        assert loaded.items_sorted() == ThetaTable().items_sorted()
 
     @pytest.mark.parametrize("bounds, message", [
         (["--min", "0"], "error: --min must be >= 1, got 0"),

@@ -125,6 +125,18 @@ class TestSaveLoad:
         with pytest.raises(ConflictError):
             load_table(path)
 
+    def test_failed_load_commits_nothing(self, tmp_path):
+        # n=12 is new and fine; n=13 conflicts and must stop the load
+        # before n=12 is inserted, as a failed ingest does.
+        path = tmp_path / "cache.txt"
+        path.write_text("12 6128\n13 99999\n")
+        tbl = ThetaTable()
+        tbl.insert(13, 12840, PROVENANCE_COMPUTED)
+        before = tbl.items_sorted()
+        with pytest.raises(ConflictError, match="n=13"):
+            load_table(path, tbl)
+        assert tbl.items_sorted() == before
+
     def test_load_without_sidecar_defaults_to_ingested(self, tmp_path):
         path = tmp_path / "cache.txt"
         path.write_text("12 6128\n")

@@ -1,14 +1,14 @@
 import pytest
 
-from apfree import (ParseError, ThetaTable, ValueUnavailable, certificate_text,
+from apfree import (ThetaTable, ValueUnavailable, certificate_text,
                     check_global_bounds, check_halving, check_sandwich,
                     envelope_estimates, global_theta_bounds, limit_bracket,
-                    monotone_report, parse_certificate, reference_constants,
-                    separate, subsequence_point, verify_certificate_text)
+                    monotone_report, reference_constants, separate,
+                    subsequence_point)
 from apfree.growth import doubling_points
 from apfree.roots import ROUND_FLOOR, decimal_nth_root
 from apfree.table import PROVENANCE_INGESTED
-from conftest import THETA_64, THETA_75
+from conftest import THETA_64, THETA_75, run_checker
 
 
 def fake_table(**values):
@@ -79,17 +79,17 @@ class TestChecks:
 class TestSubsequencePoint:
     def test_trivial_point(self):
         pt = subsequence_point(1, 0, ThetaTable())
-        assert (pt.m, pt.t, pt.n) == (1, 0, 1)
-        assert pt.value == "1.00000000000"
-        assert pt.precision_digits == 11
+        assert (pt.radicand, pt.degree) == (1, 1)
+        assert pt.text == "1.00000000000"
+        assert pt.digits == 11
 
     def test_n_ten_point(self):
         # theta(10)^(1/10), truncated at 11 places; the cross-check value
         # (2*theta(10))^(1/10) matches the published constant 2.152.
         pt = subsequence_point(5, 1, ThetaTable())
-        assert pt.n == 10
-        assert pt.value == "2.00805553932"
-        assert pt.root.bracket_holds()
+        assert (pt.radicand, pt.degree) == (1066, 10)
+        assert pt.text == "2.00805553932"
+        assert pt.bracket_holds()
         c = decimal_nth_root(2 * 1066, 10, 11, ROUND_FLOOR)
         assert c.text == "2.15218063834"
         assert c.text.startswith("2.152")
@@ -149,35 +149,46 @@ class TestSeparate:
 
 
 class TestCertificateDocument:
-    def test_round_trip_and_verification(self):
+    """The document `certificate_text` writes, judged by the standalone
+    checker, the one certificate verifier (exit 0 sound and separated,
+    2 unsound)."""
+
+    @staticmethod
+    def check(text, tmp_path):
+        cert = tmp_path / "cert.txt"
+        cert.write_text(text, encoding="utf-8")
+        return run_checker(cert)
+
+    def test_round_trip_and_verification(self, tmp_path):
         cert = separate(1, 6, 75, 0, ThetaTable())
         text = certificate_text(cert)
-        fields = parse_certificate(text)
+        fields = dict(line.split(": ", 1) for line in text.splitlines()[1:])
         assert fields["separated"] == "true"
         assert int(fields["lhs"]) == cert.lhs
         assert fields["lower_decimal"] == "2.27953231299"
         assert fields["upper_decimal"] == "2.27703523933"
-        assert verify_certificate_text(text) == []
+        code, out = self.check(text, tmp_path)
+        assert code == 0 and out.startswith("SOUND")
 
-    def test_tampering_is_detected(self):
+    def test_tampering_is_detected(self, tmp_path):
         text = certificate_text(separate(1, 6, 75, 0, ThetaTable()))
-        tampered = text.replace("separated: true", "separated: false")
-        assert any("separated" in p for p in verify_certificate_text(tampered))
-        tampered = text.replace("theta_low: 3991", "theta_low: 3992")
-        assert verify_certificate_text(tampered)
-        tampered = text.replace("lhs: 4566", "lhs: 4567")
-        assert any("lhs" in p for p in verify_certificate_text(tampered))
-        tampered = text.replace("n_low: 64", "n_low: 63")
-        assert verify_certificate_text(tampered)
+        for old, new in [("separated: true", "separated: false"),
+                         ("theta_low: 3991", "theta_low: 3992"),
+                         ("lhs: 4566", "lhs: 4567"),
+                         ("n_low: 64", "n_low: 63")]:
+            assert old in text
+            code, out = self.check(text.replace(old, new), tmp_path)
+            assert (code, out[:8]) == (2, "UNSOUND:"), old
 
-    def test_header_required(self):
-        with pytest.raises(ParseError):
-            parse_certificate("not a certificate\n")
+    def test_header_required(self, tmp_path):
+        code, out = self.check("not a certificate\n", tmp_path)
+        assert code == 2 and out.startswith("UNSOUND")
 
-    def test_missing_field_reported(self):
+    def test_missing_field_reported(self, tmp_path):
         text = certificate_text(separate(1, 6, 75, 0, ThetaTable()))
         without = "\n".join(l for l in text.splitlines() if not l.startswith("rhs:"))
-        assert verify_certificate_text(without + "\n")
+        code, out = self.check(without + "\n", tmp_path)
+        assert code == 2 and out.startswith("UNSOUND: missing field 'rhs'")
 
 
 class TestMonotoneReport:
@@ -260,7 +271,6 @@ def test_envelope_plumbing_with_synthetic_values():
     assert env.limsup_upper.bracket_holds()
     assert env.liminf_lower.text == "2.287466"
     assert env.limsup_upper.text == "2.307275"
-    assert env.references == ()
 
 
 def test_sandwich_equivalence_with_root_form():
