@@ -49,6 +49,18 @@ def parse(path):
     return fields
 
 
+def to_int(text):
+    """int(text), also for a digit string past the interpreter's limit on
+    int/str conversion (4300 digits by default), which is parsed in halves."""
+    try:
+        return int(text)
+    except ValueError:
+        if not (text.isascii() and text.isdigit()):
+            raise
+    k = len(text) // 2
+    return to_int(text[:-k]) * 10 ** k + to_int(text[-k:])
+
+
 def decimal_within_ulp(text, radicand, root):
     """Exact bracket check that `text` is radicand^(1/root) within one
     unit in its last printed place."""
@@ -69,7 +81,7 @@ def main(argv):
         return 2
     f = parse(argv[1])
     try:
-        ints = {key: int(f[key]) for key in REQUIRED
+        ints = {key: to_int(f[key]) for key in REQUIRED
                 if key not in ("separated", "lower_decimal", "upper_decimal")}
     except ValueError as exc:
         unsound(f"non-integer field: {exc}")

@@ -4,7 +4,7 @@
 Results go into a b-file-format cache (with a provenance sidecar) that
 every other command can consume. Values already in the cache are not
 recomputed, and a run that computes nothing new leaves the cache as it
-is.
+is. The last line says which: `cache written to C` or `cache unchanged: C`.
 
 Usage examples:
   python scripts/compute_theta.py --max 16
@@ -37,19 +37,22 @@ def main():
     if cache.exists():
         load_table(cache, tbl)
 
+    wrote = False
     for n in range(args.min, args.max + 1):
         started = time.monotonic()
         known = n in tbl
         value = theta(n, tbl, POLICY_COMPUTE_IF_MISSING)
         elapsed = time.monotonic() - started
         tag = tbl.provenance(n) if known else "computed now"
+        wrote = wrote or not known
         print(f"n={n}: {value}  [{tag}, {elapsed:.2f}s]")
 
     # `theta` saves the cache after each new value, so an interrupted run
     # keeps what it computed; write it here only when there is none yet.
     if not cache.exists():
         save_table(tbl, cache)
-    print(f"cache written to {cache}")
+        wrote = True
+    print(f"cache written to {cache}" if wrote else f"cache unchanged: {cache}")
     return 0
 
 

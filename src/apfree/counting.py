@@ -7,7 +7,8 @@ to right and never extends a prefix with a value that would close a 3AP
 as the rightmost element, so every sequence it completes is 3AP-free by
 construction and none is missed; `free_permutations` yields those
 sequences and `count_pruned` counts them. The oracle enumerates all n!
-permutations and filters with the quadratic 3AP test; it is the ground
+arrangements and tests each against the value triples x < y < z with
+x + z = 2y, asking whether y sits between x and z; it is the ground
 truth for small n. Tests compare the three routes, which share no
 legality code.
 
@@ -57,21 +58,33 @@ def _check_count_args(n: int, node_budget: Optional[int]) -> None:
 
 
 def count_oracle(n: int, ceiling: int = ORACLE_CEILING_DEFAULT) -> int:
-    """Count by enumerating all n! permutations and filtering.
+    """Count by enumerating all n! arrangements and testing each directly.
 
     Deliberately brute force; serves as the independent cross-check for
-    the other two routes. Raises OracleRangeExceeded for n above `ceiling`
-    (default 10) to stop accidental factorial blowups.
+    the other two routes. It enumerates position tuples q, where q[v] is
+    the position of value v (values and positions both 0-based). Inversion
+    is a bijection on S_n, so counting the qualifying q counts the 3AP-free
+    permutations. An arrangement has a 3AP iff, for some value triple
+    x < y < z with x + z = 2y, y sits strictly between x and z, i.e.
+    (q[x] < q[y]) == (q[y] < q[z]); the triples are built once per call.
+    Raises OracleRangeExceeded for n above `ceiling` (default 10) to stop
+    accidental factorial blowups.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_count_args(n, None)
     if n > ceiling:
         raise OracleRangeExceeded(
             f"oracle ceiling is {ceiling}, asked for n={n}; "
             f"raise `ceiling` explicitly if you really want this"
         )
-    return sum(1 for p in itertools.permutations(range(1, n + 1))
-               if values_3ap_free(p))
+    triples = [(x, (x + z) // 2, z) for x in range(n) for z in range(x + 2, n, 2)]
+    total = 0
+    for q in itertools.permutations(range(n)):
+        for x, y, z in triples:
+            if (q[x] < q[y]) == (q[y] < q[z]):
+                break
+        else:
+            total += 1
+    return total
 
 
 def _blocked_mask(n: int, prefix: tuple[int, ...], v: int) -> int:

@@ -18,8 +18,10 @@ class TestCount:
         assert (code, out) == (0, "48\n")
 
     def test_oracle_flag_agrees(self):
-        for n in ("4", "7", "9"):
-            assert run_cli(["count", n, "--oracle"]) == run_cli(["count", n])
+        for n in range(1, 11):
+            oracle = run_cli(["count", str(n), "--oracle"])
+            assert oracle == (0, f"{PAPER_SMALL[n - 1]}\n", "")
+            assert oracle == run_cli(["count", str(n)])
 
     def test_oracle_ceiling_is_enforced(self):
         code, _, err = run_cli(["count", "11", "--oracle"])
@@ -108,6 +110,7 @@ class TestComputeTheta:
         assert lines[11].startswith("n=12: 6128  [computed, ")
         # Nothing new was computed, so neither file was rewritten.
         assert stamps() == written
+        assert lines[-1] == f"cache unchanged: {cache}"
 
     def test_writes_a_cache_when_nothing_is_computed(self, tmp_path):
         cache = tmp_path / "ct" / "theta_cache.txt"
@@ -230,6 +233,26 @@ class TestSeparate:
     def test_missing_data_is_usage_error(self):
         code, _, err = run_cli(["separate", "--low", "1,7", "--high", "81,1"])
         assert code == 2 and "n=128" in err
+
+    def test_wide_gap_certificate_past_the_int_str_digit_limit(self, tmp_path):
+        # Synthetic counts of realistic size (about 2.3^n) inside the
+        # universal bounds; lhs = (2 theta(128))^162 then has more digits
+        # than the interpreter converts by default (4300).
+        tbl = ThetaTable(include_builtins=False)
+        tbl.insert(81, 9 ** 81 // 4 ** 81, PROVENANCE_INGESTED)
+        tbl.insert(128, 23 ** 128 // 10 ** 128, PROVENANCE_INGESTED)
+        tbl.insert(162, 9 ** 162 // 4 ** 162, PROVENANCE_INGESTED)
+        cache = tmp_path / "cache.txt"
+        save_table(tbl, cache)
+        cert = tmp_path / "cert.txt"
+        code, out, err = run_cli(["separate", "--cache", str(cache), "--low", "1,7",
+                                  "--high", "81,1", "--out", str(cert)])
+        assert (code, err) == (0, "")
+        fields = dict(line.split(": ", 1) for line in out.splitlines()[1:])
+        assert len(fields["lhs"]) > 4300 and len(fields["rhs"]) > 4300
+        code, verdict = run_checker(cert)
+        assert code == 0
+        assert verdict.startswith("SOUND") and "separated" in verdict
 
     def test_malformed_mt(self):
         code, _, _ = run_cli(["separate", "--low", "1;6"])

@@ -8,6 +8,7 @@ from apfree import (OracleRangeExceeded, ResourceLimitExceeded, ThetaTable,
                     validate)
 from apfree.counting import (POLICY_COMPUTE_IF_MISSING, POLICY_LOOKUP_ONLY,
                              _dp_levels)
+from apfree.perm import values_3ap_free
 from apfree.table import (PROVENANCE_BUILTIN, PROVENANCE_COMPUTED,
                           PROVENANCE_INGESTED)
 from conftest import COMPUTED_MID, PAPER_SMALL, THETA_64
@@ -21,6 +22,13 @@ class TestOracle:
     def test_published_value_ten_with_raised_ceiling(self):
         assert count_oracle(10) == 1066
 
+    def test_matches_the_per_permutation_scan(self):
+        # perm's per-permutation scan shares no code with the oracle's
+        # value-triple test, so it serves as the reference.
+        for n in range(1, 9):
+            assert count_oracle(n) == sum(
+                values_3ap_free(p) for p in itertools.permutations(range(1, n + 1)))
+
     def test_ceiling(self):
         with pytest.raises(OracleRangeExceeded):
             count_oracle(11)
@@ -28,8 +36,9 @@ class TestOracle:
             count_oracle(12, ceiling=11)
 
     def test_rejects_bad_n(self):
-        with pytest.raises(ValueError):
-            count_oracle(0)
+        for n in (0, -3):
+            with pytest.raises(ValueError, match=rf"^n must be >= 1, got {n}$"):
+                count_oracle(n)
 
 
 class TestPrunedCounter:
@@ -47,7 +56,7 @@ class TestPrunedCounter:
 
     @pytest.mark.slow
     def test_oracle_equivalence_at_eleven(self):
-        # Full 11! enumeration, around a minute; opt in with -m slow.
+        # Full 11! enumeration, about 20 s on one core; opt in with -m slow.
         assert count_oracle(11, ceiling=11) == PAPER_SMALL[10]
         assert count_pruned(11) == PAPER_SMALL[10]
 
