@@ -70,7 +70,7 @@ def decimal_within_ulp(text, radicand, root):
     if not whole.isdigit() or not frac.isdigit():
         return False
     digits = len(frac)
-    scaled = int(whole + frac)
+    scaled = to_int(whole + frac)
     target = radicand * 10 ** (root * digits)
     return max(scaled - 1, 0) ** root <= target <= (scaled + 1) ** root
 

@@ -140,7 +140,17 @@ def provenance_path(cache_path: Union[str, Path]) -> Path:
 
 
 def save_table(tbl: ThetaTable, path: Union[str, Path]) -> None:
-    """Write the table as a b-file plus a provenance sidecar.
+    """Merge the cache at `path` into the table, then write the table
+    there as a b-file plus a provenance sidecar.
+
+    The merge is load_table into `tbl`, so the table gains the entries
+    that another writer saved since it was loaded, and a cache that
+    disagrees with the table raises ConflictError (a corrupt one
+    ParseError) before anything is written. Two processes that load the
+    same cache and each add an entry therefore both keep it, unless one
+    renames its files in the window between the other's re-read and
+    its renames, the time it takes to write the two files; entries saved
+    in that window are lost, as there is no lock.
 
     Each file is written beside its target and renamed over it, the
     sidecar first, so neither is ever left half written. A table only
@@ -149,8 +159,10 @@ def save_table(tbl: ThetaTable, path: Union[str, Path]) -> None:
     fails loudly instead of loading with wrong tags. There is no fsync;
     the renames guard against a failed write, not against power loss.
     """
-    items = tbl.items_sorted()
     path = Path(path)
+    if path.exists():
+        load_table(path, tbl)
+    items = tbl.items_sorted()
     _write_then_rename(provenance_path(path), [f"{n} {e.provenance}\n" for n, e in items])
     _write_then_rename(path, [f"{n} {e.value}\n" for n, e in items])
 

@@ -23,7 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .roots import ROUND_FLOOR, ROUND_NEAREST, DecimalRoot, decimal_nth_root
+from .roots import (ROUND_FLOOR, ROUND_NEAREST, DecimalRoot, decimal_nth_root,
+                    decimal_text)
 from .table import ThetaTable
 
 DISPLAY_DIGITS_DEFAULT = 11
@@ -178,19 +179,6 @@ def separate(m_low: int, t_low: int, m_high: int, t_high: int,
     )
 
 
-def _decimal(v: int) -> str:
-    """str(v) for a non-negative int, also past the interpreter's limit on
-    int/str conversion (4300 digits by default): such a value is split at
-    a power of ten into halves that are each converted the same way."""
-    try:
-        return str(v)
-    except ValueError:
-        pass
-    k = v.bit_length() * 3 // 20  # about half the decimal digits of v
-    hi, lo = divmod(v, 10 ** k)
-    return _decimal(hi) + _decimal(lo).zfill(k)
-
-
 def certificate_text(cert: SeparationCertificate,
                      digits: int = DISPLAY_DIGITS_DEFAULT) -> str:
     """Serialize a certificate as a self-contained key/value document.
@@ -198,7 +186,8 @@ def certificate_text(cert: SeparationCertificate,
     Every integer appears in full decimal, so an independent checker can
     re-derive lhs and rhs and confirm the verdict with big-integer
     arithmetic alone. lhs and rhs grow with n_low * n_high and can pass
-    the interpreter's int/str digit limit, so they go through `_decimal`.
+    the interpreter's int/str digit limit, so they go through
+    `roots.decimal_text`.
     """
     lines = [
         "separation-certificate v1",
@@ -218,8 +207,8 @@ def certificate_text(cert: SeparationCertificate,
         f"upper_radicand: {cert.upper_bound.upper_radicand}",
         f"upper_root: {cert.upper_bound.root}",
         f"upper_decimal: {cert.upper_bound.upper_decimal(digits).text}",
-        f"lhs: {_decimal(cert.lhs)}",
-        f"rhs: {_decimal(cert.rhs)}",
+        f"lhs: {decimal_text(cert.lhs)}",
+        f"rhs: {decimal_text(cert.rhs)}",
         f"separated: {'true' if cert.separated else 'false'}",
     ]
     return "\n".join(lines) + "\n"

@@ -67,6 +67,19 @@ def _root_from_above(x: int, r: int, g: int) -> int:
     return g
 
 
+def decimal_text(v: int) -> str:
+    """str(v) for a non-negative int, also past the interpreter's limit on
+    int/str conversion (4300 digits by default): such a value is split at
+    a power of ten into halves that are each converted the same way."""
+    try:
+        return str(v)
+    except ValueError:
+        pass
+    k = v.bit_length() * 3 // 20  # about half the decimal digits of v
+    hi, lo = divmod(v, 10 ** k)
+    return decimal_text(hi) + decimal_text(lo).zfill(k)
+
+
 @dataclass(frozen=True)
 class DecimalRoot:
     """A decimal approximation of radicand**(1/degree) to `digits` places.
@@ -85,7 +98,7 @@ class DecimalRoot:
     @property
     def text(self) -> str:
         """Render as a plain decimal string, e.g. "2.27953231299"."""
-        s = str(self.scaled)
+        s = decimal_text(self.scaled)
         if len(s) <= self.digits:
             s = "0" * (self.digits - len(s) + 1) + s
         return s[: len(s) - self.digits] + "." + s[len(s) - self.digits:]

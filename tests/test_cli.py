@@ -254,6 +254,19 @@ class TestSeparate:
         assert code == 0
         assert verdict.startswith("SOUND") and "separated" in verdict
 
+    def test_digits_past_the_int_str_digit_limit(self, tmp_path):
+        # 4400 places: each decimal's scaled root has more digits than
+        # str() and int() convert by default (4300).
+        cert = tmp_path / "cert.txt"
+        code, out, err = run_cli(["separate", "--digits", "4400", "--out", str(cert)])
+        assert (code, err) == (0, "")
+        fields = dict(line.split(": ", 1) for line in out.splitlines()[1:])
+        assert fields["lower_decimal"].startswith("2.27953231299")
+        assert len(fields["lower_decimal"]) == len(fields["upper_decimal"]) == 4402
+        code, verdict = run_checker(cert)
+        assert code == 0
+        assert verdict.startswith("SOUND") and "separated" in verdict
+
     def test_malformed_mt(self):
         code, _, _ = run_cli(["separate", "--low", "1;6"])
         assert code == 2

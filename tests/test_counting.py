@@ -11,7 +11,43 @@ from apfree.counting import (POLICY_COMPUTE_IF_MISSING, POLICY_LOOKUP_ONLY,
 from apfree.perm import values_3ap_free
 from apfree.table import (PROVENANCE_BUILTIN, PROVENANCE_COMPUTED,
                           PROVENANCE_INGESTED)
-from conftest import COMPUTED_MID, PAPER_SMALL, THETA_64
+from conftest import COMPUTED_MID, PAPER_SMALL, THETA_64, THETA_75
+
+
+def reference_levels(n):
+    """The unpruned subset DP: level k = {P: legal orderings of P} over
+    every k-set P that some legal ordering reaches, k = 0..n.
+
+    P is a bitmask with bit v set for each placed value v. Its reflection
+    R (bit n+1-u for each u in P) shifted left by 2v-n-1 is the set
+    {2v-u : u in P}, the values that placing v after P would kill, so
+    placing v is legal iff that set misses every unplaced value.
+    """
+    full = (1 << (n + 1)) - 2
+    width = n + 2
+    offset = n + 3  # shift = 2v - n - 1, where b = 1 << v has bit_length v + 1
+    level = {0: 1}
+    levels = [level]
+    for _ in range(n):
+        nxt = {}
+        for placed, paths in level.items():
+            refl = int(format(placed, f"0{width}b")[::-1], 2)
+            unplaced = full ^ placed
+            m = unplaced
+            while m:
+                b = m & -m
+                m ^= b
+                shift = 2 * b.bit_length() - offset
+                killed = refl << shift if shift >= 0 else refl >> -shift
+                if not killed & unplaced:
+                    key = placed | b
+                    nxt[key] = nxt.get(key, 0) + paths
+        level = nxt
+        levels.append(level)
+    return levels
+
+
+PAPER_SMALL_AND_MID = dict(enumerate(PAPER_SMALL, start=1)) | COMPUTED_MID
 
 
 class TestOracle:
@@ -92,9 +128,8 @@ class TestSubsetDP:
             assert count_dp(n) == count_pruned(n)
 
     def test_published_and_computed_values(self):
-        expected = dict(enumerate(PAPER_SMALL, start=1)) | COMPUTED_MID
-        assert sorted(expected) == list(range(1, 17))
-        for n, value in expected.items():
+        assert sorted(PAPER_SMALL_AND_MID) == list(range(1, 17))
+        for n, value in PAPER_SMALL_AND_MID.items():
             assert count_dp(n) == value
 
     @pytest.mark.parametrize("budget", [50, 5000, 10 ** 6])
@@ -123,8 +158,48 @@ class TestSubsetDP:
 
     @pytest.mark.slow
     def test_recomputes_builtin_theta_64(self):
-        # Several minutes and a few hundred MB; opt in with -m slow.
+        # About 4 s and 16 MB peak RSS on one core; opt in with -m slow.
         assert count_dp(64) == THETA_64
+
+    @pytest.mark.slow
+    def test_recomputes_builtin_theta_75(self):
+        # About 8 s and 17 MB peak RSS on one core; opt in with -m slow.
+        assert count_dp(75) == THETA_75
+
+
+class TestSubsetDPSoundness:
+    """The meet-in-the-middle DP with dead states dropped, against the
+    unpruned levels of `reference_levels`."""
+
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_kept_states_are_reference_states_and_dropped_ones_are_dead(self, n):
+        ref = reference_levels(n)
+        full = (1 << (n + 1)) - 2
+        assert count_dp(n) == sum(ref[n].values())
+        levels = list(_dp_levels(n))
+        assert len(levels) == (n + 1) // 2 + 1
+        for k, level in enumerate(levels):
+            # Kept states are reachable, with the unpruned path counts.
+            assert level.items() <= ref[k].items()
+            # A dropped P is dead: no legal ordering of its complement exists.
+            for placed in ref[k].keys() - level.keys():
+                assert full ^ placed not in ref[n - k]
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_reversal_splits_the_count_at_every_level(self, n):
+        # The completions of P are the legal orderings of [n] minus P.
+        ref = reference_levels(n)
+        full = (1 << (n + 1)) - 2
+        for k in range(n + 1):
+            assert sum(paths * ref[n - k].get(full ^ placed, 0)
+                       for placed, paths in ref[k].items()) == PAPER_SMALL_AND_MID[n]
+
+    def test_dead_states_are_dropped(self):
+        # At n = 24, 96% of the reachable states are dead. Levels 0..12
+        # hold 27,066 states unpruned, and the DP keeps 1,223 of them.
+        ref = reference_levels(24)
+        kept = sum(len(level) for level in _dp_levels(24))
+        assert kept * 10 < sum(len(level) for level in ref[:13])
 
 
 class TestFreePermutations:

@@ -191,6 +191,33 @@ class TestSaveLoad:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "cache.txt", "cache.txt.provenance"]
 
+    def test_concurrent_writers_keep_both_entries(self, tmp_path):
+        # Both tables load the same cache before either saves; the second
+        # save merges what the first wrote instead of dropping it.
+        path = tmp_path / "cache.txt"
+        save_table(ThetaTable(), path)
+        first, second = load_table(path), load_table(path)
+        first.insert(12, 6128, PROVENANCE_COMPUTED)
+        second.insert(13, 12840, PROVENANCE_INGESTED)
+        save_table(first, path)
+        save_table(second, path)
+        again = load_table(path)
+        assert again.value(12) == 6128 and again.value(13) == 12840
+        assert again.provenance(12) == PROVENANCE_COMPUTED
+        assert again.provenance(13) == PROVENANCE_INGESTED
+
+    def test_save_over_a_disagreeing_cache_writes_nothing(self, tmp_path):
+        path = tmp_path / "cache.txt"
+        other = ThetaTable()
+        other.insert(12, 6128, PROVENANCE_COMPUTED)
+        save_table(other, path)
+        before = path.read_bytes(), dataio.provenance_path(path).read_bytes()
+        tbl = ThetaTable()
+        tbl.insert(12, 6129, PROVENANCE_INGESTED)
+        with pytest.raises(ConflictError, match="n=12"):
+            save_table(tbl, path)
+        assert (path.read_bytes(), dataio.provenance_path(path).read_bytes()) == before
+
     def test_save_then_reingest_round_trips(self, tmp_path):
         path = tmp_path / "cache.txt"
         tbl = ThetaTable()

@@ -1,3 +1,4 @@
+import decimal
 import random
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apfree import decimal_nth_root, nth_root_floor
-from apfree.roots import ROUND_FLOOR, ROUND_NEAREST
+from apfree.roots import ROUND_FLOOR, ROUND_NEAREST, decimal_text
 from conftest import THETA_64, THETA_75, pow2_newton_root
 
 # The radicands behind the headline certificate limit(1) > limit(75).
@@ -83,6 +84,21 @@ class TestDecimalRoot:
 
     def test_value_below_one(self):
         assert decimal_nth_root(0, 5, 3).text == "0.000"
+
+    def test_text_past_the_int_str_digit_limit(self):
+        # sqrt(2) to 4400 places: scaled has 4401 digits, more than str()
+        # converts by default (4300). The reference is the decimal
+        # module's sqrt at 20 more places, truncated.
+        root = decimal_nth_root(2, 2, 4400)
+        assert root.scaled > 10 ** 4300
+        reference = str(decimal.Context(prec=4421).sqrt(decimal.Decimal(2)))
+        assert root.text == reference[:4402]
+
+    @pytest.mark.parametrize("v", [0, 7, 10 ** 4300, 10 ** 5000 + 7, 3 ** 10000],
+                             ids=["0", "7", "10^4300", "10^5000+7", "3^10000"])
+    def test_decimal_text(self, v):
+        exact = decimal.Context(prec=6000, Emax=10 ** 6)
+        assert decimal_text(v) == str(exact.create_decimal(v))
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
