@@ -12,17 +12,16 @@ the value triples x < y < z with x + z = 2y, asking whether y sits
 between x and z; it is the ground truth for small n. Tests compare the
 three routes, which share no legality code.
 
-The backtracker's pruning state is a bitmask of still-placeable values.
-Once a pair (u at position i, w at position j > i) exists, the value
-2w - u is dead for every later position, so the allowed set only shrinks
-along a search path and can be passed down functionally. Branches whose
-allowed set is already smaller than the number of open positions are
-abandoned early; this does not change the count, since such branches
-admit no completion.
+The backtracker carries a kill mask per value w: the values 2w - u for
+u in the prefix, each of which placing w next would kill for every later
+position, since w would then sit between u and it. Placing v is legal
+iff its kill mask misses every value still unplaced after it, because a
+killed unplaced value leaves a prefix with no completion; this never
+changes the count. A child adds the bit 2w - v to the mask of each value
+w still unplaced, O(n) work per node.
 
-That prune fires exactly when some unplaced value is dead, so on every
-surviving path the allowed set equals the unplaced set, and the number
-of ways to finish a prefix depends only on which values it holds, not
+So every surviving prefix kills no unplaced value, and the number of
+ways to finish a prefix depends only on which values it holds, not
 on their order. The DP exploits this: placing v after the set P is legal
 iff no u in P has 2v - u still unplaced, and f(P), the number of legal
 orderings of P, is the sum over its legal last values. Two more facts
@@ -114,39 +113,42 @@ def count_oracle(n: int, ceiling: int = ORACLE_CEILING_DEFAULT) -> int:
     return total
 
 
-def _blocked_mask(n: int, prefix: tuple[int, ...], v: int) -> int:
-    """Values that placing v after `prefix` kills for all later positions."""
-    fm = 0
-    for u in prefix:
-        w = 2 * v - u
-        if 0 < w <= n:
-            fm |= 1 << w
-    return fm
-
-
 def _enumerate_free(n: int) -> Iterator[tuple[int, ...]]:
     """Yield every 3AP-free permutation of {1, ..., n} in lexicographic order.
 
-    `extend` yields the completions of `prefix`, where `allowed` is the
-    bitmask of values that may still follow it.
+    `extend` yields the completions of `prefix`, where `unplaced` is the
+    bitmask of values not in it and kill[w] is the bitmask of
+    {2w - u : u in prefix} within 1..n, the values that placing w next
+    would kill for every later position. Placing v is legal iff kill[v]
+    misses the values still unplaced after it. The child's kill[w] gains
+    2w - v for each w still unplaced (`windows[v]` holds the w with
+    2w - v in 1..n), and values are tried from low to high.
     """
+    windows = [sum(1 << w for w in range(v // 2 + 1, (n + v) // 2 + 1))
+               for v in range(n + 1)]
 
-    def extend(prefix: tuple[int, ...], allowed: int) -> Iterator[tuple[int, ...]]:
-        t = len(prefix)
-        if t == n:
-            yield prefix
+    def extend(prefix: tuple[int, ...], unplaced: int,
+               kill: list[int]) -> Iterator[tuple[int, ...]]:
+        if not unplaced & (unplaced - 1):  # the last value kills nothing
+            yield prefix + (unplaced.bit_length() - 1,)
             return
-        need = n - t - 1
-        m = allowed
+        m = unplaced
         while m:
             b = m & -m
             m ^= b
             v = b.bit_length() - 1
-            child = (allowed ^ b) & ~_blocked_mask(n, prefix, v)
-            if child.bit_count() >= need:
-                yield from extend(prefix + (v,), child)
+            rest = unplaced ^ b
+            if kill[v] & rest:
+                continue
+            child = kill.copy()
+            ws = rest & windows[v]
+            while ws:
+                c = ws & -ws
+                ws ^= c
+                child[c.bit_length() - 1] |= c * c >> v  # 1 << (2w - v)
+            yield from extend(prefix + (v,), rest, child)
 
-    return extend((), (1 << (n + 1)) - 2)
+    return extend((), (1 << (n + 1)) - 2, [0] * (n + 1))
 
 
 def free_permutations(n: int) -> Iterator[tuple[int, ...]]:
@@ -177,7 +179,8 @@ def count_verified(n: int) -> int:
     """Diagnostic mode: enumerate accepted sequences and re-test each one.
 
     Confirms that the pruning is sound, i.e. everything the counter
-    accepts is genuinely 3AP-free. Only sensible for small n.
+    accepts is genuinely 3AP-free, with perm's bitset test, which shares
+    no code with the backtracker. Only sensible for small n.
     """
     total = 0
     for p in free_permutations(n):

@@ -87,14 +87,13 @@ def _scan_3ap(values: Sequence[int]) -> Optional[tuple[int, int, int]]:
     """1-based positions (i, j, k) of the lexicographically smallest 3AP in
     a raw value sequence, assumed to be a valid permutation, or None.
 
-    For a fixed pair of positions (i, j) the completing value 2 v_j - v_i
-    is unique, so scanning i, then j, in increasing order and returning
-    the first hit yields the smallest witness under (i, j, k) ordering.
+    The witness locator for sequences that `values_3ap_free` rejects. For
+    a fixed pair of positions (i, j) the completing value 2 v_j - v_i is
+    unique, so scanning i, then j, in increasing order and returning the
+    first hit yields the smallest witness under (i, j, k) ordering.
     pos[n + w] is the 0-based position of value w, or -1 for any w in
     2-n..2n-1 outside 1..n; its stride-2 slice `row` then maps v to the
-    position of 2v - v_i, so the inner loop needs no range test. Runs in
-    O(n^2); fast enough for single-permutation checks, which are not the
-    counting hot path.
+    position of 2v - v_i, so the inner loop needs no range test.
     """
     n = len(values)
     pos = [-1] * (3 * n + 1)
@@ -111,19 +110,37 @@ def _scan_3ap(values: Sequence[int]) -> Optional[tuple[int, int, int]]:
 
 
 def values_3ap_free(values: Sequence[int]) -> bool:
-    """3AP test on a raw value sequence, assumed to be a valid permutation."""
-    return _scan_3ap(values) is None
+    """3AP test on a raw value sequence, assumed to be a valid permutation.
+
+    Walks the values left to right with two bitmasks: `after`, the values
+    not yet seen, and `refl`, with bit n+1-x for each value x already
+    seen. For the value y at the current position, `refl` shifted left by
+    2y-n-1 has bit 2y-x for each seen x, so a 3AP with middle y exists
+    iff that set meets `after`. That is n big-int steps in place of a
+    scan over position pairs.
+    """
+    n = len(values)
+    after = (1 << (n + 1)) - 2
+    refl = 0
+    for y in values:
+        after ^= 1 << y
+        shift = 2 * y - n - 1
+        if (refl << shift if shift >= 0 else refl >> -shift) & after:
+            return False
+        refl |= 1 << (n + 1 - y)
+    return True
 
 
 def find_3ap(p: Permutation) -> Optional[APWitness]:
     """Return the lexicographically smallest 3AP witness, or None if 3AP-free."""
-    hit = _scan_3ap(p.values)
-    return None if hit is None else APWitness(*hit)
+    if values_3ap_free(p.values):
+        return None
+    return APWitness(*_scan_3ap(p.values))
 
 
 def is_3ap_free(p: Permutation) -> bool:
     """True iff the permutation contains no 3AP."""
-    return _scan_3ap(p.values) is None
+    return values_3ap_free(p.values)
 
 
 def reverse(p: Permutation) -> Permutation:

@@ -49,6 +49,21 @@ def brute_find_3ap(values):
     return None
 
 
+def middle_value_3ap_free(values):
+    """Reference O(n^2) 3AP test: for each middle value y and each d >= 1,
+    a 3AP exists iff y - d and y + d lie on opposite sides of y."""
+    n = len(values)
+    pos = [0] * (n + 1)
+    for idx, v in enumerate(values):
+        pos[v] = idx
+    for y in range(2, n):
+        py = pos[y]
+        for d in range(1, min(y - 1, n - y) + 1):
+            if (pos[y - d] < py) != (pos[y + d] < py):
+                return False
+    return True
+
+
 def brute_all_witnesses(values):
     n = len(values)
     return [(i + 1, j + 1, k + 1)

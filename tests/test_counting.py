@@ -11,7 +11,8 @@ from apfree.counting import (POLICY_COMPUTE_IF_MISSING, POLICY_LOOKUP_ONLY,
 from apfree.perm import values_3ap_free
 from apfree.table import (PROVENANCE_BUILTIN, PROVENANCE_COMPUTED,
                           PROVENANCE_INGESTED)
-from conftest import COMPUTED_MID, PAPER_SMALL, THETA_64, THETA_75
+from conftest import (COMPUTED_MID, PAPER_SMALL, THETA_64, THETA_75,
+                      brute_find_3ap)
 
 
 def reference_levels(n):
@@ -82,10 +83,6 @@ class TestPrunedCounter:
         for n in range(1, 12):
             assert count_pruned(n) == PAPER_SMALL[n - 1]
 
-    def test_matches_oracle(self):
-        for n in range(1, 10):
-            assert count_pruned(n) == count_oracle(n)
-
     def test_computed_values_regression(self):
         for n in (12, 13, 14):
             assert count_pruned(n) == COMPUTED_MID[n]
@@ -118,11 +115,18 @@ class TestPrunedCounter:
         assert count_pruned(6, node_budget=10 ** 6) == 48
 
 
-class TestSubsetDP:
-    def test_matches_oracle(self):
-        for n in range(1, 10):
-            assert count_dp(n) == count_oracle(n)
+@pytest.mark.parametrize("n", range(1, 10))
+def test_all_routes_agree(n):
+    # The pruned and unpruned DP, the backtracker, its outputs re-tested
+    # by perm's 3AP test, and the oracle.
+    expected = count_dp(n)
+    assert sum(reference_levels(n)[n].values()) == expected
+    assert count_pruned(n) == expected
+    assert count_verified(n) == expected
+    assert count_oracle(n) == expected
 
+
+class TestSubsetDP:
     def test_matches_pruned_counter(self):
         for n in range(1, 14):
             assert count_dp(n) == count_pruned(n)
@@ -155,6 +159,12 @@ class TestSubsetDP:
     def test_pruned_counter_agrees_at_fourteen_to_sixteen(self):
         for n in (14, 15, 16):
             assert count_pruned(n) == count_dp(n)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n", [14, 15, 16])
+    def test_verified_backtracker_agrees_at_fourteen_to_sixteen(self, n):
+        # Every backtracker output re-tested by perm's 3AP test.
+        assert count_verified(n) == count_dp(n)
 
     @pytest.mark.slow
     def test_recomputes_builtin_theta_64(self):
@@ -203,11 +213,13 @@ class TestSubsetDPSoundness:
 
 
 class TestFreePermutations:
-    def test_enumeration_matches_filtered_oracle(self):
-        for n in (1, 2, 5, 6):
-            expected = [p for p in itertools.permutations(range(1, n + 1))
-                        if is_3ap_free(validate(p))]
-            assert list(free_permutations(n)) == expected
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_enumeration_matches_filtered_oracle(self, n):
+        # The brute triple scan shares no code with the backtracker, so the
+        # enumeration is pinned, order included, against an independent filter.
+        expected = [p for p in itertools.permutations(range(1, n + 1))
+                    if brute_find_3ap(p) is None]
+        assert list(free_permutations(n)) == expected
 
     def test_lexicographic_order(self):
         got = list(free_permutations(7))
@@ -217,15 +229,6 @@ class TestFreePermutations:
     def test_every_output_is_a_valid_free_permutation(self):
         for p in free_permutations(6):
             assert is_3ap_free(validate(p))
-
-
-def test_enumerate_and_verify_mode():
-    # Pruning soundness spot check: everything the counter accepts passes
-    # the independent 3AP test, and the totals agree with both routes.
-    for n in range(1, 9):
-        v = count_verified(n)
-        assert v == count_pruned(n)
-        assert v == count_oracle(n)
 
 
 class TestThetaLookup:

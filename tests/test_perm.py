@@ -1,13 +1,15 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apfree import (APWitness, NotAPermutation, Permutation, complement,
-                    find_3ap, format_oneline, is_3ap_free, parse_oneline,
-                    reverse, validate)
-from conftest import brute_all_witnesses, brute_find_3ap
+                    double, double_odd, find_3ap, format_oneline, is_3ap_free,
+                    parse_oneline, reverse, validate)
+from apfree.doubling import ORDERS
+from conftest import brute_all_witnesses, brute_find_3ap, middle_value_3ap_free
 
 
 def all_perms(n):
@@ -120,6 +122,39 @@ class TestIs3APFree:
                 free = is_3ap_free(p)
                 assert free == (find_3ap(p) is None)
                 assert free == (brute_find_3ap(vals) is None)
+
+
+def doubled_free(n, rng):
+    """A 3AP-free permutation of {1..n}, built by seeded random doublings
+    down to lengths <= 4, whose 3AP-free permutations come from the brute
+    triple scan."""
+    if n <= 4:
+        return validate(rng.choice([p for p in all_perms(n) if brute_find_3ap(p) is None]))
+    half = n // 2
+    combine = double if n % 2 == 0 else double_odd
+    return combine(doubled_free(half, rng), doubled_free(n - half, rng), rng.choice(ORDERS))
+
+
+class TestLongInputs:
+    """Random permutations of length 9..40 are almost never 3AP-free, so
+    the free answer on long inputs is pinned on doubled permutations."""
+
+    @pytest.mark.parametrize("n", [9, 17, 40, 64, 75, 101, 150, 257, 512, 1000])
+    def test_doubled_permutations_are_free_and_transpositions_match(self, n):
+        rng = random.Random(n)
+        p = doubled_free(n, rng)
+        assert middle_value_3ap_free(p.values)
+        assert is_3ap_free(p)
+        assert find_3ap(p) is None
+        for _ in range(4):
+            vals = list(p.values)
+            i, j = rng.sample(range(n), 2)
+            vals[i], vals[j] = vals[j], vals[i]
+            q = validate(vals)
+            assert is_3ap_free(q) == middle_value_3ap_free(vals)
+            if n <= 150:
+                got = find_3ap(q)
+                assert (None if got is None else tuple(got)) == brute_find_3ap(vals)
 
 
 class TestSymmetries:
