@@ -17,7 +17,6 @@ import time
 from pathlib import Path
 
 from apfree import ThetaTable, load_table, save_table, theta
-from apfree.counting import POLICY_COMPUTE_IF_MISSING
 
 
 def main():
@@ -41,7 +40,7 @@ def main():
     for n in range(args.min, args.max + 1):
         started = time.monotonic()
         known = n in tbl
-        value = theta(n, tbl, POLICY_COMPUTE_IF_MISSING)
+        value = theta(n, tbl)
         elapsed = time.monotonic() - started
         tag = tbl.provenance(n) if known else "computed now"
         wrote = wrote or not known

@@ -180,10 +180,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_emit_figure(args) -> int:
     tbl = _assemble_table(cache=args.cache, bfile=args.bfile)
-    if args.out is None:
-        dataio.emit_figure_data(tbl, args.max, sys.stdout, digits=args.digits)
-    else:
-        dataio.emit_figure_data(tbl, args.max, args.out, digits=args.digits)
+    dataio.emit_figure_data(tbl, args.max, sys.stdout if args.out is None else args.out,
+                            digits=args.digits)
     return 0
 
 

@@ -53,10 +53,10 @@ On one core of a 2-vCPU Intel Xeon with Python 3.11.7, theta(64) takes
 4.0 s at 16 MB peak RSS and theta(75) 7.6 s at 17 MB; the full-depth
 DP without the peel took 414 s and 472 MB for theta(64).
 
-`count_dp(n, node_budget)` and `count_pruned(n, node_budget)` take
-nothing else: both run in one process, and the optional budget is a
-global cap on work (DP states expanded, or permutations counted) whose
-exhaustion raises ResourceLimitExceeded, so a count is exact or absent.
+`count_dp(n, node_budget)` runs in one process, and its optional budget
+is a global cap on the DP states expanded whose exhaustion raises
+ResourceLimitExceeded, so a count is exact or absent. `count_pruned(n)`
+takes n alone.
 """
 
 from __future__ import annotations
@@ -65,14 +65,11 @@ import itertools
 from typing import Iterator, Optional
 
 from . import dataio
-from .errors import OracleRangeExceeded, ResourceLimitExceeded, ValueUnavailable
+from .errors import OracleRangeExceeded, ResourceLimitExceeded
 from .perm import values_3ap_free
 from .table import PROVENANCE_COMPUTED, ThetaTable
 
 ORACLE_CEILING_DEFAULT = 10
-
-POLICY_LOOKUP_ONLY = "lookup_only"
-POLICY_COMPUTE_IF_MISSING = "compute_if_missing"
 
 
 def _check_count_args(n: int, node_budget: Optional[int]) -> None:
@@ -113,7 +110,7 @@ def count_oracle(n: int, ceiling: int = ORACLE_CEILING_DEFAULT) -> int:
     return total
 
 
-def _enumerate_free(n: int) -> Iterator[tuple[int, ...]]:
+def free_permutations(n: int) -> Iterator[tuple[int, ...]]:
     """Yield every 3AP-free permutation of {1, ..., n} in lexicographic order.
 
     `extend` yields the completions of `prefix`, where `unplaced` is the
@@ -122,8 +119,10 @@ def _enumerate_free(n: int) -> Iterator[tuple[int, ...]]:
     would kill for every later position. Placing v is legal iff kill[v]
     misses the values still unplaced after it. The child's kill[w] gains
     2w - v for each w still unplaced (`windows[v]` holds the w with
-    2w - v in 1..n), and values are tried from low to high.
+    2w - v in 1..n), and values are tried from low to high. n is checked
+    before the generator is returned.
     """
+    _check_count_args(n, None)
     windows = [sum(1 << w for w in range(v // 2 + 1, (n + v) // 2 + 1))
                for v in range(n + 1)]
 
@@ -151,28 +150,10 @@ def _enumerate_free(n: int) -> Iterator[tuple[int, ...]]:
     return extend((), (1 << (n + 1)) - 2, [0] * (n + 1))
 
 
-def free_permutations(n: int) -> Iterator[tuple[int, ...]]:
-    """Yield every 3AP-free permutation of {1, ..., n} in lexicographic order."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return _enumerate_free(n)
-
-
-def count_pruned(n: int, node_budget: Optional[int] = None) -> int:
-    """Exact count of 3AP-free permutations of {1, ..., n} by backtracking.
-
-    Counts what `free_permutations` yields. node_budget, if set, must be
-    >= 0 and caps the number of permutations counted; exhausting it is a
-    hard ResourceLimitExceeded, never a truncated count.
-    """
-    _check_count_args(n, node_budget)
-    total = 0
-    for _ in _enumerate_free(n):
-        total += 1
-        if node_budget is not None and total > node_budget:
-            raise ResourceLimitExceeded(
-                f"node budget of {node_budget} permutations exhausted")
-    return total
+def count_pruned(n: int) -> int:
+    """Exact count of 3AP-free permutations of {1, ..., n} by backtracking:
+    the number of sequences `free_permutations` yields."""
+    return sum(1 for _ in free_permutations(n))
 
 
 def count_verified(n: int) -> int:
@@ -302,20 +283,15 @@ def _record_computed(tbl: ThetaTable, n: int, value: int) -> None:
         dataio.save_table(tbl, tbl.cache_path)
 
 
-def theta(n: int, tbl: ThetaTable, policy: str = POLICY_LOOKUP_ONLY) -> int:
-    """Exact count for n from the table, optionally computing on a miss.
+def theta(n: int, tbl: ThetaTable) -> int:
+    """Exact count for n from the table, computing it on a miss.
 
-    Under compute_if_missing the subset DP runs, the result is
-    stored with provenance "computed", and the table is persisted to its
-    cache path when it has one.
+    A miss runs the subset DP, stores the result with provenance
+    "computed", and saves the table to its cache path when it has one.
+    `tbl.value(n)` is the lookup that never computes.
     """
-    if policy not in (POLICY_LOOKUP_ONLY, POLICY_COMPUTE_IF_MISSING):
-        raise ValueError(f"unknown policy {policy!r}")
-    e = tbl.entry(n)
-    if e is not None:
-        return e.value
-    if policy == POLICY_LOOKUP_ONLY:
-        raise ValueUnavailable(f"no count for n={n} and policy is lookup_only")
-    value = count_dp(n)
-    _record_computed(tbl, n, value)
+    value = tbl.get(n)
+    if value is None:
+        value = count_dp(n)
+        _record_computed(tbl, n, value)
     return value

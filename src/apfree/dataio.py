@@ -96,43 +96,32 @@ class IngestResult:
 def ingest_bfile(source: Source, tbl: ThetaTable) -> IngestResult:
     """Merge a b-file into the table with provenance "ingested".
 
-    Validation happens before anything is committed, so a failing file
-    leaves the table untouched: every value must satisfy the universal
-    bounds for its n (a cheap guard against transposed digits), and any
-    entry whose n is already present must match the existing value
-    exactly. Published data files start at n = 0; that entry is outside
-    the table's domain and is skipped, not an error.
+    Published data files start at n = 0; that entry is outside the
+    table's domain and is skipped, not an error. Every other value must
+    satisfy the universal bounds for its n (a cheap guard against
+    transposed digits), or ConflictError is raised before the table is
+    touched. The rest goes through `ThetaTable.merge`, so a file with an
+    entry that disagrees with the table adds nothing.
     """
     entries = parse_bfile(source)
-    staged, matched, skipped = [], [], []
+    skipped = tuple(e for e in entries if e.n == 0)
+    entries = [e for e in entries if e.n != 0]
+    violation = _bounds_violation(entries)
+    if violation is not None:
+        raise ConflictError(f"{violation}; refusing to ingest corrupted data")
+    new = set(tbl.merge((e.n, e.value, PROVENANCE_INGESTED) for e in entries))
+    return IngestResult(tuple(e for e in entries if e.n in new),
+                        tuple(e for e in entries if e.n not in new), skipped)
+
+
+def _bounds_violation(entries: list[BFileEntry]) -> Optional[str]:
+    """Say how the first entry that breaks the universal bounds for its n
+    does so, or None if every entry keeps them."""
     for e in entries:
-        if e.n == 0:
-            skipped.append(e)
-            continue
-        violation = _bounds_violation(e)
-        if violation is not None:
-            raise ConflictError(f"{violation}; refusing to ingest corrupted data")
-        existing = tbl.get(e.n)
-        if existing is None:
-            staged.append(e)
-        elif existing == e.value:
-            matched.append(e)
-        else:
-            raise ConflictError(
-                f"n={e.n}: file value {e.value} disagrees with existing "
-                f"{existing} ({tbl.provenance(e.n)})"
-            )
-    for e in staged:
-        tbl.insert(e.n, e.value, PROVENANCE_INGESTED)
-    return IngestResult(tuple(staged), tuple(matched), tuple(skipped))
-
-
-def _bounds_violation(e: BFileEntry) -> Optional[str]:
-    """Say how e breaks the universal bounds for its n, or None if it keeps them."""
-    lo, hi = global_theta_bounds(e.n)
-    if lo <= e.value <= hi:
-        return None
-    return f"n={e.n}: value {e.value} violates the universal bounds [{lo}, {hi}]"
+        lo, hi = global_theta_bounds(e.n)
+        if not lo <= e.value <= hi:
+            return f"n={e.n}: value {e.value} violates the universal bounds [{lo}, {hi}]"
+    return None
 
 
 def provenance_path(cache_path: Union[str, Path]) -> Path:
@@ -143,14 +132,16 @@ def save_table(tbl: ThetaTable, path: Union[str, Path]) -> None:
     """Merge the cache at `path` into the table, then write the table
     there as a b-file plus a provenance sidecar.
 
-    The merge is load_table into `tbl`, so the table gains the entries
-    that another writer saved since it was loaded, and a cache that
-    disagrees with the table raises ConflictError (a corrupt one
-    ParseError) before anything is written. Two processes that load the
-    same cache and each add an entry therefore both keep it, unless one
-    renames its files in the window between the other's re-read and
-    its renames, the time it takes to write the two files; entries saved
-    in that window are lost, as there is no lock.
+    The merge is load_table into `tbl`, all or none through
+    `ThetaTable.merge`: the table gains the entries that another writer
+    saved since it was loaded and keeps its own tags for the ones it
+    already holds, and a cache that disagrees with the table raises
+    ConflictError (a corrupt one ParseError) before anything is added
+    or written. Two processes that load the same cache and each add an
+    entry therefore both keep it, unless one renames its files in the
+    window between the other's re-read and its renames, the time it
+    takes to write the two files; entries saved in that window are
+    lost, as there is no lock.
 
     Each file is written beside its target and renamed over it, the
     sidecar first, so neither is ever left half written. A table only
@@ -195,11 +186,12 @@ def load_table(path: Union[str, Path], tbl: Optional[ThetaTable] = None) -> Thet
     """Load a cache file into a table (a fresh builtin table by default).
 
     Entries get their sidecar provenance when the sidecar exists, and
-    "ingested" otherwise. The file is checked before anything is
-    inserted, so a failing load leaves the table untouched: a sidecar
-    tag for an n the cache lacks, or a value outside the universal
-    bounds for its n, raises ParseError, and a value conflicting with an
-    entry already in the table raises ConflictError.
+    "ingested" otherwise. A failing load leaves the table untouched: a
+    sidecar tag for an n the cache lacks, or a value outside the
+    universal bounds for its n, raises ParseError before the table is
+    touched, and the entries then go through `ThetaTable.merge`, so a
+    value conflicting with one already in the table raises ConflictError
+    and adds nothing.
     """
     if tbl is None:
         tbl = ThetaTable(cache_path=path)
@@ -209,13 +201,10 @@ def load_table(path: Union[str, Path], tbl: Optional[ThetaTable] = None) -> Thet
     orphans = sorted(set(tags) - {e.n for e in entries})
     if orphans:
         raise ParseError(f"{sidecar}: tags for n={orphans} that {path} does not hold")
-    for e in entries:
-        violation = _bounds_violation(e)
-        if violation is not None:
-            raise ParseError(f"{path}: {violation}; the cache is corrupt")
-        tbl.check_insert(e.n, e.value, tags.get(e.n, PROVENANCE_INGESTED))
-    for e in entries:
-        tbl.insert(e.n, e.value, tags.get(e.n, PROVENANCE_INGESTED))
+    violation = _bounds_violation(entries)
+    if violation is not None:
+        raise ParseError(f"{path}: {violation}; the cache is corrupt")
+    tbl.merge((e.n, e.value, tags.get(e.n, PROVENANCE_INGESTED)) for e in entries)
     return tbl
 
 

@@ -8,7 +8,7 @@ process (computed), or read from an external data file (ingested).
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import ConflictError, ValueUnavailable
 
@@ -34,10 +34,11 @@ class ThetaEntry(NamedTuple):
 class ThetaTable:
     """Mapping n -> exact count, with provenance and optional cache path.
 
-    Mutation is insert-only: an insert that disagrees with an existing
-    entry raises ConflictError, and a matching re-insert is a no-op that
-    keeps the original provenance. The cache path is used by callers that
-    persist the table; the table itself never touches the filesystem.
+    Past the builtins, entries enter only through `merge`, all or none:
+    an entry that disagrees with one already held raises ConflictError,
+    and one that matches keeps the provenance already held. The cache
+    path is used by callers that persist the table; the table itself
+    never touches the filesystem.
     """
 
     def __init__(self, include_builtins: bool = True, cache_path=None):
@@ -54,9 +55,6 @@ class ThetaTable:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def entry(self, n: int) -> Optional[ThetaEntry]:
-        return self.entries.get(n)
 
     def get(self, n: int) -> Optional[int]:
         e = self.entries.get(n)
@@ -76,32 +74,38 @@ class ThetaTable:
         return e.provenance
 
     def insert(self, n: int, value: int, provenance: str) -> bool:
-        """Add an entry. Returns True if new, False if it matched an
-        existing entry; raises as check_insert does."""
-        if not self.check_insert(n, value, provenance):
-            return False
-        self.entries[n] = ThetaEntry(value, provenance)
-        return True
+        """Add one entry. Returns True if new, False if it matched an
+        existing entry; raises as merge does."""
+        return bool(self.merge([(n, value, provenance)]))
 
-    def check_insert(self, n: int, value: int, provenance: str) -> bool:
-        """Whether insert would add the entry (False: it matches one
-        already held), without adding it. Raises ValueError for a bad
-        entry and ConflictError for one that disagrees with the table."""
-        if n < 1:
-            raise ValueError(f"table keys are positive integers, got n={n}")
-        if value < 0:
-            raise ValueError(f"counts are nonnegative, got {value} for n={n}")
-        if provenance not in PROVENANCES:
-            raise ValueError(f"unknown provenance {provenance!r}")
-        existing = self.entries.get(n)
-        if existing is not None:
-            if existing.value != value:
+    def merge(self, entries: Iterable[tuple[int, int, str]]) -> list[int]:
+        """Add (n, value, provenance) entries, all or none, and return the
+        n of the new ones in input order.
+
+        Every entry is checked before any is added. A bad n, value or
+        provenance raises ValueError; an entry that disagrees with one
+        already held, or with an earlier one in the batch, raises
+        ConflictError. An entry that matches one already held keeps the
+        held provenance and is not returned.
+        """
+        staged: dict[int, ThetaEntry] = {}
+        for n, value, provenance in entries:
+            if n < 1:
+                raise ValueError(f"table keys are positive integers, got n={n}")
+            if value < 0:
+                raise ValueError(f"counts are nonnegative, got {value} for n={n}")
+            if provenance not in PROVENANCES:
+                raise ValueError(f"unknown provenance {provenance!r}")
+            existing = self.entries.get(n, staged.get(n))
+            if existing is None:
+                staged[n] = ThetaEntry(value, provenance)
+            elif existing.value != value:
                 raise ConflictError(
                     f"n={n}: new value {value} ({provenance}) disagrees with "
                     f"existing {existing.value} ({existing.provenance})"
                 )
-            return False
-        return True
+        self.entries.update(staged)
+        return list(staged)
 
     def available(self, max_n: Optional[int] = None) -> list[int]:
         """Sorted keys, optionally restricted to n <= max_n."""

@@ -2,12 +2,11 @@ import itertools
 
 import pytest
 
-from apfree import (OracleRangeExceeded, ResourceLimitExceeded, ThetaTable,
-                    ValueUnavailable, count_dp, count_oracle, count_pruned,
-                    count_verified, free_permutations, is_3ap_free, theta,
-                    validate)
-from apfree.counting import (POLICY_COMPUTE_IF_MISSING, POLICY_LOOKUP_ONLY,
-                             _dp_levels)
+from apfree import (ConflictError, OracleRangeExceeded, ResourceLimitExceeded,
+                    ThetaTable, ValueUnavailable, count_dp, count_oracle,
+                    count_pruned, count_verified, free_permutations,
+                    is_3ap_free, theta, validate)
+from apfree.counting import _dp_levels
 from apfree.perm import values_3ap_free
 from apfree.table import (PROVENANCE_BUILTIN, PROVENANCE_COMPUTED,
                           PROVENANCE_INGESTED)
@@ -100,19 +99,11 @@ class TestPrunedCounter:
                     counter(n)
 
     def test_negative_node_budget_is_rejected(self):
-        for counter in (count_dp, count_pruned):
-            with pytest.raises(ValueError, match=r"^node_budget must be >= 0, got -1$"):
-                counter(5, node_budget=-1)
-            # A budget of 0 is valid, and no count fits in it.
-            with pytest.raises(ResourceLimitExceeded):
-                counter(5, node_budget=0)
-
-    def test_node_budget_exhaustion_is_an_error(self):
+        with pytest.raises(ValueError, match=r"^node_budget must be >= 0, got -1$"):
+            count_dp(5, node_budget=-1)
+        # A budget of 0 is valid, and no count fits in it.
         with pytest.raises(ResourceLimitExceeded):
-            count_pruned(10, node_budget=50)
-
-    def test_node_budget_generous_is_fine(self):
-        assert count_pruned(6, node_budget=10 ** 6) == 48
+            count_dp(5, node_budget=0)
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -138,14 +129,12 @@ class TestSubsetDP:
 
     @pytest.mark.parametrize("budget", [50, 5000, 10 ** 6])
     def test_outcome_does_not_depend_on_scheduling(self, budget):
-        # Both counters; budget 5000 covers all 2460 backtracker leaves and
-        # every DP state, so each must count in full.
-        for counter in (count_dp, count_pruned):
-            if budget == 50:
-                with pytest.raises(ResourceLimitExceeded):
-                    counter(11, node_budget=budget)
-            else:
-                assert counter(11, node_budget=budget) == PAPER_SMALL[10]
+        # Budget 5000 covers every DP state, so the count must be in full.
+        if budget == 50:
+            with pytest.raises(ResourceLimitExceeded):
+                count_dp(11, node_budget=budget)
+        else:
+            assert count_dp(11, node_budget=budget) == PAPER_SMALL[10]
 
     def test_node_budget_counts_expanded_states(self):
         # Every level but the last is expanded; the budget may be used up
@@ -235,17 +224,18 @@ class TestThetaLookup:
     def test_builtin_lookup(self):
         tbl = ThetaTable()
         assert theta(7, tbl) == 104
-        assert theta(64, tbl, POLICY_LOOKUP_ONLY) == THETA_64
+        assert theta(64, tbl) == THETA_64
 
     def test_lookup_only_miss(self):
         tbl = ThetaTable()
         with pytest.raises(ValueUnavailable):
-            theta(201, tbl, POLICY_LOOKUP_ONLY)
+            tbl.value(201)
+        assert 201 not in tbl
 
     def test_compute_if_missing(self, tmp_path):
         cache = tmp_path / "cache.txt"
         tbl = ThetaTable(cache_path=cache)
-        v = theta(12, tbl, POLICY_COMPUTE_IF_MISSING)
+        v = theta(12, tbl)
         assert v == COMPUTED_MID[12]
         assert tbl.provenance(12) == PROVENANCE_COMPUTED
         assert tbl.provenance(11) == PROVENANCE_BUILTIN
@@ -253,11 +243,8 @@ class TestThetaLookup:
         assert cache.exists()
         assert f"12 {COMPUTED_MID[12]}" in cache.read_text()
         # A second call is a lookup, not a recount.
-        assert theta(12, tbl, POLICY_LOOKUP_ONLY) == v
-
-    def test_unknown_policy(self):
-        with pytest.raises(ValueError):
-            theta(5, ThetaTable(), "guess")
+        assert tbl.value(12) == v
+        assert theta(12, tbl) == v
 
 
 class TestThetaTable:
@@ -269,7 +256,6 @@ class TestThetaTable:
         assert tbl.value(64) == THETA_64
 
     def test_insert_conflict(self):
-        from apfree import ConflictError
         tbl = ThetaTable()
         with pytest.raises(ConflictError):
             tbl.insert(4, 11, PROVENANCE_INGESTED)
@@ -292,3 +278,27 @@ class TestThetaTable:
             tbl.insert(12, -1, PROVENANCE_COMPUTED)
         with pytest.raises(ValueError):
             tbl.insert(12, 6128, "hearsay")
+
+    def test_merge_with_a_conflict_adds_nothing(self):
+        tbl = ThetaTable()
+        before = tbl.items_sorted()
+        with pytest.raises(ConflictError, match=r"^n=4: "):
+            tbl.merge([(12, 6128, PROVENANCE_COMPUTED), (13, 12840, PROVENANCE_COMPUTED),
+                       (4, 11, PROVENANCE_COMPUTED)])
+        assert tbl.items_sorted() == before
+
+    def test_merge_repeating_n_with_another_value_conflicts(self):
+        tbl = ThetaTable()
+        with pytest.raises(ConflictError, match=r"^n=12: "):
+            tbl.merge([(12, 6128, PROVENANCE_COMPUTED), (12, 6129, PROVENANCE_INGESTED)])
+        assert 12 not in tbl
+
+    def test_merge_returns_new_n_and_matches_keep_provenance(self):
+        tbl = ThetaTable()
+        new = tbl.merge([(13, 12840, PROVENANCE_INGESTED), (4, 10, PROVENANCE_INGESTED),
+                         (12, 6128, PROVENANCE_INGESTED), (12, 6128, PROVENANCE_COMPUTED)])
+        assert new == [13, 12]
+        assert tbl.provenance(4) == PROVENANCE_BUILTIN
+        assert tbl.provenance(12) == PROVENANCE_INGESTED
+        assert tbl.merge([(12, 6128, PROVENANCE_COMPUTED)]) == []
+        assert tbl.provenance(12) == PROVENANCE_INGESTED

@@ -85,6 +85,15 @@ class TestIngest:
         assert len(tbl) == before
         assert 12 not in tbl
 
+    def test_new_entry_then_conflict_commits_nothing(self):
+        # n ascends, so the conflict is with the builtin theta(64), and the
+        # wrong value is inside the universal bounds: merge must refuse it.
+        tbl = ThetaTable()
+        with pytest.raises(ConflictError, match=r"^n=64: .*disagrees"):
+            ingest_bfile(io.StringIO(f"12 6128\n64 {THETA_64 + 1}\n"), tbl)
+        assert 12 not in tbl
+        assert tbl.value(64) == THETA_64
+
     def test_ingest_is_idempotent(self):
         tbl = ThetaTable()
         first = ingest_bfile(FIXTURE_BFILE, tbl)
@@ -149,6 +158,16 @@ class TestSaveLoad:
             load_table(path)
         code, _, err = run_cli(["verify", "--cache", str(path)])
         assert code == 2 and "universal bounds" in err
+
+    def test_load_reports_corruption_before_conflicts(self, tmp_path):
+        # The bounds are checked on the whole file before any entry is
+        # compared with the table, so a corrupt cache reads as corrupt.
+        path = tmp_path / "cache.txt"
+        path.write_text("4 11\n12 1000\n")
+        tbl = ThetaTable()
+        with pytest.raises(ParseError, match="the cache is corrupt"):
+            load_table(path, tbl)
+        assert tbl.value(4) == 10
 
     def test_load_rejects_sidecar_tag_missing_from_cache(self, tmp_path):
         path = tmp_path / "cache.txt"
