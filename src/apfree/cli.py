@@ -210,8 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
     route.add_argument("--oracle", action="store_true",
                        help="use the factorial enumeration oracle instead")
     route.add_argument("--node-budget", type=int, default=None, metavar="B",
-                       help="fail with exit 2 once more than B DP states have "
-                            "been expanded, instead of counting on")
+                       help="fail with exit 2 once more than B DP states, "
+                            "each standing for a mirror pair of value sets, "
+                            "have been expanded, instead of counting on")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="checked (N >= 1) and otherwise unused: the subset DP "
                         "runs in one process. Kept while the benchmark's "

@@ -24,7 +24,7 @@ So every surviving prefix kills no unplaced value, and the number of
 ways to finish a prefix depends only on which values it holds, not
 on their order. The DP exploits this: placing v after the set P is legal
 iff no u in P has 2v - u still unplaced, and f(P), the number of legal
-orderings of P, is the sum over its legal last values. Two more facts
+orderings of P, is the sum over its legal last values. Three more facts
 make it fast.
 
 Reversal. Let U = [n] minus P. An ordering of U completes P iff no y in
@@ -47,10 +47,14 @@ since a completion of a child extends to one of its parent, so no live
 state loses a path, and a dead P adds f(P) * 0 to the sum. The peel
 can miss a dead state, which costs time only: at n = 24 the unpruned
 levels 0..12 hold 27,066 states, 659 of them live, and the DP keeps
-1,223.
+1,223, as 612 keys (next paragraph).
+
+Mirrors. x -> n+1-x keeps a permutation 3AP-free, so P and its mirror
+R(P) = {n+1-u : u in P} have the same f, and one is dead iff the other
+is. Each level keeps one key per mirror pair, the smaller bitmask.
 
 On one core of a 2-vCPU Intel Xeon with Python 3.11.7, theta(64) takes
-4.0 s at 16 MB peak RSS and theta(75) 7.6 s at 17 MB; the full-depth
+1.7 s at 15 MB peak RSS and theta(75) 3.2 s at 16 MB; the full-depth
 DP without the peel took 414 s and 472 MB for theta(64).
 
 `count_dp(n, node_budget)` runs in one process, and its optional budget
@@ -171,30 +175,35 @@ def count_verified(n: int) -> int:
     return total
 
 
-def _dp_levels(n: int) -> Iterator[dict[int, int]]:
-    """Yield level k = {P: legal orderings of P} over k-sets P, k = 0..ceil(n/2).
+def _dp_levels(n: int) -> Iterator[tuple[dict[int, int], dict[int, int]]]:
+    """Yield (level k, reflections) for k = 0..ceil(n/2).
 
-    P is a bitmask with bit v set for each placed value v, and each state
-    carries its reflection R (bit n+1-u for each u in P); a child's is
-    R | 1 << (n+1-v). R shifted left by 2y-n-1 is {2y-u : u in P}, the
-    values that placing y after P would kill, so placing y is legal iff
-    that set misses every unplaced value. A key new to its level is
-    peeled once (`_orderable`) and kept only if it passes. A kept state
-    has its unpruned path count: a legal y has no forced predecessor, so
-    it lies on no cycle, and a cycle that kills a state kills its
-    children too.
+    Level k maps the smaller key P of each mirror pair of k-sets to its
+    legal orderings, and the reflections map P to R(P), bit n+1-u for
+    each u in P; a child P | 1 << v has R | 1 << (n+1-v). R shifted left
+    by 2y-n-1 is {2y-u : u in P}, the values that placing y after P
+    would kill, so placing y is legal iff that set misses every unplaced
+    value. Expanding P stands for R(P) too, whose children mirror P's:
+    a child's paths go to the smaller of it and its mirror, a self-mirror
+    child gets them from both P and R(P), and a self-mirror P skips the
+    children whose mirror is smaller, which the same step reaches. A key
+    new to its level is peeled once (`_orderable`) and kept only if it
+    passes. A kept state has its unpruned path count: a legal y has no
+    forced predecessor, so it lies on no cycle, and a cycle that kills a
+    state kills its children too.
     """
     full = (1 << (n + 1)) - 2
     offset = n + 3  # shift = 2y - n - 1, where b = 1 << y has bit_length y + 1
     level = {0: 1}
     refls = {0: 0}
-    yield level
+    yield level, refls
     for _ in range((n + 1) // 2):
         nxt: dict[int, int] = {}
         nrefls: dict[int, int] = {}
         dead: set[int] = set()
         for placed, paths in level.items():
             refl = refls[placed]
+            symmetric = refl == placed
             unplaced = full ^ placed
             # (1 << y, the unplaced values that placing y next would kill)
             kills = []
@@ -208,18 +217,26 @@ def _dp_levels(n: int) -> Iterator[dict[int, int]]:
             for b, killed in kills:
                 if killed:
                     continue
+                v = b.bit_length() - 1
                 key = placed | b
+                mirror = refl | 1 << (n + 1 - v)
+                gain = paths
+                if mirror < key:
+                    if symmetric:
+                        continue
+                    key, mirror = mirror, key
+                elif mirror == key and not symmetric:
+                    gain = 2 * paths
                 if key in nxt:
-                    nxt[key] += paths
+                    nxt[key] += gain
                 elif key not in dead:
-                    v = b.bit_length() - 1
                     if _orderable(kills, v, unplaced ^ b):
-                        nxt[key] = paths
-                        nrefls[key] = refl | 1 << (n + 1 - v)
+                        nxt[key] = gain
+                        nrefls[key] = mirror
                     else:
                         dead.add(key)
         level, refls = nxt, nrefls
-        yield level
+        yield level, refls
 
 
 def _orderable(kills: list[tuple[int, int]], v: int, rest: int) -> bool:
@@ -253,26 +270,37 @@ def count_dp(n: int, node_budget: Optional[int] = None) -> int:
     """Exact count of 3AP-free permutations of {1, ..., n} by subset DP.
 
     Meets in the middle: theta(n) is the sum of f(P) * f([n] minus P)
-    over P in level floor(n/2), where f is a state's path count and a
-    complement missing from level ceil(n/2) is dead. node_budget, if
-    set, must be >= 0 and caps the total number of states expanded,
-    those of levels 0..ceil(n/2)-1 (14,061 for theta(64)); exhausting it
-    is a hard ResourceLimitExceeded, never a truncated count.
+    over the k-sets P, k = floor(n/2), where f is a state's path count
+    and a complement missing from level ceil(n/2) is dead. R maps P's
+    complement to R(P)'s, so P and R(P) add the same term: a key counts
+    twice unless it is its own mirror, and its complement's key is the
+    smaller of full ^ P and full ^ R(P). node_budget, if set, must be
+    >= 0 and caps the total number of states expanded, one per mirror
+    pair, those of levels 0..ceil(n/2)-1 (7,031 for theta(64));
+    exhausting it is a hard ResourceLimitExceeded, never a truncated
+    count.
     """
     _check_count_args(n, node_budget)
     levels = _dp_levels(n)
-    level = next(levels)
+    level, refls = next(levels)
     expanded = 0
     for _ in range((n + 1) // 2):
         expanded += len(level)
         if node_budget is not None and expanded > node_budget:
             raise ResourceLimitExceeded(
                 f"node budget of {node_budget} DP states exhausted")
-        half, level = level, next(levels)
+        half, half_refls = level, refls
+        level, refls = next(levels)
     if n % 2 == 0:
-        half = level
+        half, half_refls = level, refls
     full = (1 << (n + 1)) - 2
-    return sum(paths * level.get(full ^ placed, 0) for placed, paths in half.items())
+    total = 0
+    for placed, paths in half.items():
+        refl = half_refls[placed]
+        if refl != placed:
+            paths *= 2
+        total += paths * level.get(min(full ^ placed, full ^ refl), 0)
+    return total
 
 
 def _record_computed(tbl: ThetaTable, n: int, value: int) -> None:

@@ -14,6 +14,11 @@ from conftest import (COMPUTED_MID, PAPER_SMALL, THETA_64, THETA_75,
                       brute_find_3ap)
 
 
+def reflect(placed, n):
+    """The bitmask of {n+1-u : u in placed}, by reversing its bit string."""
+    return int(format(placed, f"0{n + 2}b")[::-1], 2)
+
+
 def reference_levels(n):
     """The unpruned subset DP: level k = {P: legal orderings of P} over
     every k-set P that some legal ordering reaches, k = 0..n.
@@ -24,14 +29,13 @@ def reference_levels(n):
     placing v is legal iff that set misses every unplaced value.
     """
     full = (1 << (n + 1)) - 2
-    width = n + 2
     offset = n + 3  # shift = 2v - n - 1, where b = 1 << v has bit_length v + 1
     level = {0: 1}
     levels = [level]
     for _ in range(n):
         nxt = {}
         for placed, paths in level.items():
-            refl = int(format(placed, f"0{width}b")[::-1], 2)
+            refl = reflect(placed, n)
             unplaced = full ^ placed
             m = unplaced
             while m:
@@ -139,7 +143,7 @@ class TestSubsetDP:
     def test_node_budget_counts_expanded_states(self):
         # Every level but the last is expanded; the budget may be used up
         # exactly, and one state fewer is an error.
-        expanded = sum(len(level) for level in list(_dp_levels(9))[:-1])
+        expanded = sum(len(level) for level, _ in list(_dp_levels(9))[:-1])
         assert count_dp(9, node_budget=expanded) == PAPER_SMALL[8]
         with pytest.raises(ResourceLimitExceeded):
             count_dp(9, node_budget=expanded - 1)
@@ -157,12 +161,12 @@ class TestSubsetDP:
 
     @pytest.mark.slow
     def test_recomputes_builtin_theta_64(self):
-        # About 4 s and 16 MB peak RSS on one core; opt in with -m slow.
+        # About 1.7 s and 15 MB peak RSS on one core; opt in with -m slow.
         assert count_dp(64) == THETA_64
 
     @pytest.mark.slow
     def test_recomputes_builtin_theta_75(self):
-        # About 8 s and 17 MB peak RSS on one core; opt in with -m slow.
+        # About 3.2 s and 16 MB peak RSS on one core; opt in with -m slow.
         assert count_dp(75) == THETA_75
 
 
@@ -177,12 +181,38 @@ class TestSubsetDPSoundness:
         assert count_dp(n) == sum(ref[n].values())
         levels = list(_dp_levels(n))
         assert len(levels) == (n + 1) // 2 + 1
-        for k, level in enumerate(levels):
+        for k, (level, _) in enumerate(levels):
+            # Each kept key stands for itself and its mirror, both with its count.
+            kept = {}
+            for placed, paths in level.items():
+                kept[placed] = kept[reflect(placed, n)] = paths
             # Kept states are reachable, with the unpruned path counts.
-            assert level.items() <= ref[k].items()
+            assert kept.items() <= ref[k].items()
             # A dropped P is dead: no legal ordering of its complement exists.
-            for placed in ref[k].keys() - level.keys():
+            for placed in ref[k].keys() - kept.keys():
                 assert full ^ placed not in ref[n - k]
+
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_each_level_keeps_the_smaller_member_of_each_mirror_pair(self, n):
+        for level, refls in _dp_levels(n):
+            assert refls.keys() == level.keys()
+            for placed in level:
+                mirror = reflect(placed, n)
+                assert refls[placed] == mirror
+                assert placed <= mirror
+                assert placed == mirror or mirror not in level
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_mirror_states_share_count_and_fate(self, n):
+        # The symmetry the DP relies on, checked on the unpruned levels
+        # alone: f(P) = f(R(P)), and P has a completion iff R(P) has one.
+        ref = reference_levels(n)
+        full = (1 << (n + 1)) - 2
+        for k in range(n + 1):
+            for placed, paths in ref[k].items():
+                mirror = reflect(placed, n)
+                assert ref[k].get(mirror) == paths
+                assert (full ^ placed in ref[n - k]) == (full ^ mirror in ref[n - k])
 
     @pytest.mark.parametrize("n", range(1, 17))
     def test_reversal_splits_the_count_at_every_level(self, n):
@@ -195,9 +225,11 @@ class TestSubsetDPSoundness:
 
     def test_dead_states_are_dropped(self):
         # At n = 24, 96% of the reachable states are dead. Levels 0..12
-        # hold 27,066 states unpruned, and the DP keeps 1,223 of them.
+        # hold 27,066 states unpruned, and the DP keeps 612 keys, which
+        # stand for 1,223 of them with their mirrors.
         ref = reference_levels(24)
-        kept = sum(len(level) for level in _dp_levels(24))
+        kept = sum(1 if refls[placed] == placed else 2
+                   for level, refls in _dp_levels(24) for placed in level)
         assert kept * 10 < sum(len(level) for level in ref[:13])
 
 
