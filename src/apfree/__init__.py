@@ -15,8 +15,7 @@ from .dataio import (BFileEntry, IngestResult, emit_figure_data, ingest_bfile,
 from .doubling import EVEN_BLOCK_FIRST, ODD_BLOCK_FIRST, double, double_odd
 from .errors import (ApfreeError, ConflictError, ConstructionViolation,
                      InputNot3APFree, LengthMismatch, NotAPermutation,
-                     OracleRangeExceeded, ParseError, ResourceLimitExceeded,
-                     ValueUnavailable)
+                     OracleRangeExceeded, ParseError, ValueUnavailable)
 from .growth import (CheckReport, EnvelopeReport, GrowthBound,
                      SeparationCertificate, certificate_text,
                      check_global_bounds, check_halving, check_sandwich,

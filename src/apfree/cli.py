@@ -15,6 +15,7 @@ state in it, so each call sees only its own argv.
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import sys
 from pathlib import Path
@@ -47,12 +48,12 @@ def _parse_mt(text: str) -> tuple[int, int]:
 def cmd_count(args) -> int:
     if args.jobs < 1:
         raise ApfreeError(f"--jobs must be >= 1, got {args.jobs}")
-    counting._check_count_args(args.n, args.node_budget)
+    counting._check_count_args(args.n)
     tbl = _assemble_table(cache=args.cache)
     if args.oracle:
         value = counting.count_oracle(args.n)
     else:
-        value = counting.count_dp(args.n, args.node_budget)
+        value = counting.count_dp(args.n)
     counting._record_computed(tbl, args.n, value)
     print(value)
     return 0
@@ -89,54 +90,37 @@ def cmd_verify(args) -> int:
     tbl = _assemble_table(cache=args.cache, bfile=args.bfile)
     max_n = args.max if args.max is not None else (max(tbl.available()) if len(tbl) else 0)
     present = tbl.available(max_n)
-    passed = failed = skipped = 0
-    lines = []
-
-    def emit(report):
-        nonlocal passed, failed, skipped
-        status = report.status.upper()
-        if report.status == "pass":
-            passed += 1
-        elif report.status == "fail":
-            failed += 1
+    reports = [growth.check_global_bounds(n, tbl) for n in present]
+    halves = ({n for n in present if 2 * n <= max_n}
+              | {n // 2 for n in present if n % 2 == 0})
+    for k in sorted(halves):
+        if k in tbl and 2 * k in tbl:
+            reports.append(growth.check_sandwich(k, tbl))
         else:
-            skipped += 1
-        detail = f"  {report.detail}" if report.detail else ""
-        lines.append(f"{report.name}: {status}{detail}")
-
-    def skip(name, why):
-        nonlocal skipped
-        skipped += 1
-        lines.append(f"{name}: SKIP  {why}")
-
-    for n in present:
-        emit(growth.check_global_bounds(n, tbl))
-    for k in range(1, max_n // 2 + 1):
-        has_k, has_2k = k in tbl, 2 * k in tbl
-        if not has_k and not has_2k:
-            continue
-        if has_k and has_2k:
-            emit(growth.check_sandwich(k, tbl))
-        else:
-            missing = k if not has_k else 2 * k
-            skip(f"sandwich k={k}", f"theta({missing}) unavailable")
+            missing = k if k not in tbl else 2 * k
+            reports.append(growth.CheckReport(
+                f"sandwich k={k}", "skip", detail=f"theta({missing}) unavailable"))
     for n in present:
         if n < 3:
             continue
         if (n + 1) // 2 in tbl and n // 2 in tbl:
-            emit(growth.check_halving(n, tbl))
+            reports.append(growth.check_halving(n, tbl))
         else:
-            skip(f"halving n={n}", "half-size value unavailable")
+            reports.append(growth.CheckReport(
+                f"halving n={n}", "skip", detail="half-size value unavailable"))
     odd_parts = sorted({n >> ((n & -n).bit_length() - 1) for n in present})
-    for m in odd_parts:
-        emit(growth.monotone_report(m, tbl, max_n))
+    reports.extend(growth.monotone_report(m, tbl, max_n) for m in odd_parts)
+    lines = [f"{r.name}: {r.status.upper()}" + (f"  {r.detail}" if r.detail else "")
+             for r in reports]
     values = [tbl.value(n) for n in present]
     nondecreasing = all(a <= b for a, b in zip(values, values[1:]))
     lines.append(f"note: counts nondecreasing over available n <= {max_n}: "
                  f"{'yes' if nondecreasing else 'no'} (informational, not a check)")
-    lines.append(f"summary: {passed} passed, {failed} failed, {skipped} skipped")
+    tally = collections.Counter(r.status for r in reports)
+    lines.append(f"summary: {tally['pass']} passed, {tally['fail']} failed, "
+                 f"{tally['skip']} skipped")
     print("\n".join(lines))
-    return 1 if failed else 0
+    return 1 if tally["fail"] else 0
 
 
 def cmd_separate(args) -> int:
@@ -206,13 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="count 3AP-free permutations of {1..n}")
     p.add_argument("n", type=int)
-    route = p.add_mutually_exclusive_group()
-    route.add_argument("--oracle", action="store_true",
-                       help="use the factorial enumeration oracle instead")
-    route.add_argument("--node-budget", type=int, default=None, metavar="B",
-                       help="fail with exit 2 once more than B DP states, "
-                            "each standing for a mirror pair of value sets, "
-                            "have been expanded, instead of counting on")
+    p.add_argument("--oracle", action="store_true",
+                   help="use the factorial enumeration oracle instead")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="checked (N >= 1) and otherwise unused: the subset DP "
                         "runs in one process. Kept while the benchmark's "

@@ -56,32 +56,26 @@ is. Each level keeps one key per mirror pair, the smaller bitmask.
 On one core of a 2-vCPU Intel Xeon with Python 3.11.7, theta(64) takes
 1.7 s at 15 MB peak RSS and theta(75) 3.2 s at 16 MB; the full-depth
 DP without the peel took 414 s and 472 MB for theta(64).
-
-`count_dp(n, node_budget)` runs in one process, and its optional budget
-is a global cap on the DP states expanded whose exhaustion raises
-ResourceLimitExceeded, so a count is exact or absent. `count_pruned(n)`
-takes n alone.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
-from typing import Iterator, Optional
+from typing import Iterator
 
 from . import dataio
-from .errors import OracleRangeExceeded, ResourceLimitExceeded
+from .errors import OracleRangeExceeded
 from .perm import values_3ap_free
 from .table import PROVENANCE_COMPUTED, ThetaTable
 
 ORACLE_CEILING_DEFAULT = 10
 
 
-def _check_count_args(n: int, node_budget: Optional[int]) -> None:
-    """Reject n < 1 and a negative node budget with ValueError."""
+def _check_count_args(n: int) -> None:
+    """Reject n < 1 with ValueError."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if node_budget is not None and node_budget < 0:
-        raise ValueError(f"node_budget must be >= 0, got {node_budget}")
 
 
 def count_oracle(n: int, ceiling: int = ORACLE_CEILING_DEFAULT) -> int:
@@ -97,7 +91,7 @@ def count_oracle(n: int, ceiling: int = ORACLE_CEILING_DEFAULT) -> int:
     Raises OracleRangeExceeded for n above `ceiling` (default 10) to stop
     accidental factorial blowups.
     """
-    _check_count_args(n, None)
+    _check_count_args(n)
     if n > ceiling:
         raise OracleRangeExceeded(
             f"oracle ceiling is {ceiling}, asked for n={n}; "
@@ -126,7 +120,7 @@ def free_permutations(n: int) -> Iterator[tuple[int, ...]]:
     2w - v in 1..n), and values are tried from low to high. n is checked
     before the generator is returned.
     """
-    _check_count_args(n, None)
+    _check_count_args(n)
     windows = [sum(1 << w for w in range(v // 2 + 1, (n + v) // 2 + 1))
                for v in range(n + 1)]
 
@@ -266,7 +260,7 @@ def _orderable(kills: list[tuple[int, int]], v: int, rest: int) -> bool:
     return True
 
 
-def count_dp(n: int, node_budget: Optional[int] = None) -> int:
+def count_dp(n: int) -> int:
     """Exact count of 3AP-free permutations of {1, ..., n} by subset DP.
 
     Meets in the middle: theta(n) is the sum of f(P) * f([n] minus P)
@@ -274,32 +268,18 @@ def count_dp(n: int, node_budget: Optional[int] = None) -> int:
     and a complement missing from level ceil(n/2) is dead. R maps P's
     complement to R(P)'s, so P and R(P) add the same term: a key counts
     twice unless it is its own mirror, and its complement's key is the
-    smaller of full ^ P and full ^ R(P). node_budget, if set, must be
-    >= 0 and caps the total number of states expanded, one per mirror
-    pair, those of levels 0..ceil(n/2)-1 (7,031 for theta(64));
-    exhausting it is a hard ResourceLimitExceeded, never a truncated
-    count.
+    smaller of full ^ P and full ^ R(P).
     """
-    _check_count_args(n, node_budget)
-    levels = _dp_levels(n)
-    level, refls = next(levels)
-    expanded = 0
-    for _ in range((n + 1) // 2):
-        expanded += len(level)
-        if node_budget is not None and expanded > node_budget:
-            raise ResourceLimitExceeded(
-                f"node budget of {node_budget} DP states exhausted")
-        half, half_refls = level, refls
-        level, refls = next(levels)
-    if n % 2 == 0:
-        half, half_refls = level, refls
+    _check_count_args(n)
+    levels = collections.deque(_dp_levels(n), maxlen=2)
+    (half, half_refls), (top, _) = levels[-1 - n % 2], levels[-1]
     full = (1 << (n + 1)) - 2
     total = 0
     for placed, paths in half.items():
         refl = half_refls[placed]
         if refl != placed:
             paths *= 2
-        total += paths * level.get(min(full ^ placed, full ^ refl), 0)
+        total += paths * top.get(min(full ^ placed, full ^ refl), 0)
     return total
 
 

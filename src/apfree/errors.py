@@ -13,10 +13,6 @@ class OracleRangeExceeded(ApfreeError):
     """Full-enumeration oracle asked to go beyond its configured ceiling."""
 
 
-class ResourceLimitExceeded(ApfreeError):
-    """A configured node budget ran out before the count completed."""
-
-
 class ValueUnavailable(ApfreeError):
     """A required count is not present in the table."""
 

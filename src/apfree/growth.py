@@ -116,8 +116,6 @@ class GrowthBound:
     float; decimals are produced on demand.
     """
 
-    m: int
-    t: int
     root: int
     lower_radicand: int
     upper_radicand: int
@@ -135,7 +133,7 @@ def limit_bracket(m: int, t: int, tbl: ThetaTable) -> GrowthBound:
         raise ValueError(f"need m >= 1 and t >= 0, got m={m}, t={t}")
     n = m << t
     value = tbl.value(n)
-    return GrowthBound(m, t, n, LOWER_FACTOR * value, UPPER_FACTOR * value)
+    return GrowthBound(n, LOWER_FACTOR * value, UPPER_FACTOR * value)
 
 
 @dataclass(frozen=True)

@@ -87,10 +87,13 @@ def _scan_3ap(values: Sequence[int]) -> Optional[tuple[int, int, int]]:
     """1-based positions (i, j, k) of the lexicographically smallest 3AP in
     a raw value sequence, assumed to be a valid permutation, or None.
 
-    The witness locator for sequences that `values_3ap_free` rejects. For
-    a fixed pair of positions (i, j) the completing value 2 v_j - v_i is
-    unique, so scanning i, then j, in increasing order and returning the
-    first hit yields the smallest witness under (i, j, k) ordering.
+    The witness locator for sequences that `values_3ap_free` rejects; it
+    stays apart from that test because one walk that does both jobs loses
+    the test's early exit and ran over 15 times slower on random
+    permutations (ROADMAP, "Quality of design"). For a fixed pair of
+    positions (i, j) the completing value 2 v_j - v_i is unique, so
+    scanning i, then j, in increasing order and returning the first hit
+    yields the smallest witness under (i, j, k) ordering.
     pos[n + w] is the 0-based position of value w, or -1 for any w in
     2-n..2n-1 outside 1..n; its stride-2 slice `row` then maps v to the
     position of 2v - v_i, so the inner loop needs no range test.

@@ -2,10 +2,10 @@ import itertools
 
 import pytest
 
-from apfree import (ConflictError, OracleRangeExceeded, ResourceLimitExceeded,
-                    ThetaTable, ValueUnavailable, count_dp, count_oracle,
-                    count_pruned, count_verified, free_permutations,
-                    is_3ap_free, theta, validate)
+from apfree import (ConflictError, OracleRangeExceeded, ThetaTable,
+                    ValueUnavailable, count_dp, count_oracle, count_pruned,
+                    count_verified, free_permutations, is_3ap_free, theta,
+                    validate)
 from apfree.counting import _dp_levels
 from apfree.perm import values_3ap_free
 from apfree.table import (PROVENANCE_BUILTIN, PROVENANCE_COMPUTED,
@@ -102,13 +102,6 @@ class TestPrunedCounter:
                 with pytest.raises(ValueError, match=rf"^n must be >= 1, got {n}$"):
                     counter(n)
 
-    def test_negative_node_budget_is_rejected(self):
-        with pytest.raises(ValueError, match=r"^node_budget must be >= 0, got -1$"):
-            count_dp(5, node_budget=-1)
-        # A budget of 0 is valid, and no count fits in it.
-        with pytest.raises(ResourceLimitExceeded):
-            count_dp(5, node_budget=0)
-
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_all_routes_agree(n):
@@ -130,23 +123,6 @@ class TestSubsetDP:
         assert sorted(PAPER_SMALL_AND_MID) == list(range(1, 17))
         for n, value in PAPER_SMALL_AND_MID.items():
             assert count_dp(n) == value
-
-    @pytest.mark.parametrize("budget", [50, 5000, 10 ** 6])
-    def test_outcome_does_not_depend_on_scheduling(self, budget):
-        # Budget 5000 covers every DP state, so the count must be in full.
-        if budget == 50:
-            with pytest.raises(ResourceLimitExceeded):
-                count_dp(11, node_budget=budget)
-        else:
-            assert count_dp(11, node_budget=budget) == PAPER_SMALL[10]
-
-    def test_node_budget_counts_expanded_states(self):
-        # Every level but the last is expanded; the budget may be used up
-        # exactly, and one state fewer is an error.
-        expanded = sum(len(level) for level, _ in list(_dp_levels(9))[:-1])
-        assert count_dp(9, node_budget=expanded) == PAPER_SMALL[8]
-        with pytest.raises(ResourceLimitExceeded):
-            count_dp(9, node_budget=expanded - 1)
 
     @pytest.mark.slow
     def test_pruned_counter_agrees_at_fourteen_to_sixteen(self):
