@@ -53,14 +53,28 @@ class TestCount:
         assert "282" in err and "283" in err
         assert (cache.read_bytes(), sidecar.read_bytes()) == before
 
-    def test_node_budget_is_not_an_option(self):
-        code, out, err = run_cli(["count", "5", "--node-budget", "10"])
+    def test_node_budget(self):
+        # The subset DP has no budget, so the flag is not an option.
+        code, out, err = run_cli(["count", "10", "--node-budget", "10"])
         assert (code, out) == (2, "")
         assert "unrecognized arguments: --node-budget 10" in err
 
-    def test_oracle_route_checks_jobs(self):
-        code, out, err = run_cli(["count", "5", "--oracle", "--jobs", "0"])
-        assert (code, out, err) == (2, "", "error: --jobs must be >= 1, got 0\n")
+    def test_negative_node_budget_is_usage_error(self):
+        # A negative budget is as unknown to argparse as any other.
+        code, out, err = run_cli(["count", "5", "--node-budget", "-1"])
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --node-budget -1" in err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--node-budget", "-1"], "unrecognized arguments: --node-budget -1\n"),
+        (["--jobs", "0"], "error: --jobs must be >= 1, got 0\n"),
+        (["--node-budget", "10"], "unrecognized arguments: --node-budget 10\n"),
+    ], ids=["negative-budget", "zero-jobs", "budget"])
+    def test_oracle_route_validates_flags(self, flags, message):
+        # --jobs is checked on every route, and no route takes a budget.
+        code, out, err = run_cli(["count", "5", "--oracle", *flags])
+        assert (code, out) == (2, "")
+        assert err.endswith(message)
 
 
 class TestComputeTheta:
@@ -195,6 +209,18 @@ class TestVerify:
             return code, [line for line in out.splitlines()
                           if not line.startswith("note:")]
         assert lines("1000000000000") == lines("1000000")
+
+    @pytest.mark.parametrize("args", [["--max", "11"], []],
+                             ids=["max-11", "whole-table"])
+    def test_summary_tallies_every_check_line(self, args):
+        _, out, _ = run_cli(["verify", *args])
+        *checks, note, summary = out.splitlines()
+        assert note.startswith("note:")
+        statuses = [line.split(": ", 1)[1].split()[0] for line in checks]
+        assert set(statuses) <= {"PASS", "FAIL", "SKIP"}
+        assert summary == (f"summary: {statuses.count('PASS')} passed, "
+                           f"{statuses.count('FAIL')} failed, "
+                           f"{statuses.count('SKIP')} skipped")
 
     def test_informational_monotonicity_note(self):
         _, out, _ = run_cli(["verify", "--max", "11"])

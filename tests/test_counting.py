@@ -102,6 +102,13 @@ class TestPrunedCounter:
                 with pytest.raises(ValueError, match=rf"^n must be >= 1, got {n}$"):
                     counter(n)
 
+    def test_negative_node_budget_is_rejected(self):
+        # Neither counter takes a budget any more, whatever its value.
+        for counter in (count_dp, count_pruned):
+            for budget in (-1, 0, 10 ** 6):
+                with pytest.raises(TypeError, match="node_budget"):
+                    counter(5, node_budget=budget)
+
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_all_routes_agree(n):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from apfree import (ThetaTable, ValueUnavailable, certificate_text,
@@ -123,6 +125,12 @@ class TestLimitBracket:
     def test_missing_value(self):
         with pytest.raises(ValueUnavailable):
             limit_bracket(1, 7, ThetaTable())  # needs n=128
+
+    def test_bound_holds_only_root_and_radicands(self):
+        # The point's m and t are not kept: only the exact pair matters.
+        b = limit_bracket(1, 6, ThetaTable())
+        assert dataclasses.astuple(b) == (64, 2 * THETA_64, 21 * THETA_64)
+        assert limit_bracket(4, 4, ThetaTable()) == b
 
 
 class TestSeparate:
