@@ -36,26 +36,27 @@ theta(n) is the sum of f(P) * f(U) over the k-sets P, for every k. The
 DP builds levels 0..ceil(n/2) only and takes k = floor(n/2), looking
 each complement up in level ceil(n/2).
 
-Dead states. Call P dead when it has no completion. For x in P and y, z
-in U with z = 2y - x, x precedes both, so z must come before y, or y
-would sit between x and z. y's forced predecessors are therefore
-{2y - x : x in P} & U, the set the legality test already builds for
-placing y. Peeling every y whose predecessors are all gone either
-empties U, or stalls on a cycle of forced orders, and then P is dead.
-Dropping a dead state loses no count: a dead state's children are dead,
-since a completion of a child extends to one of its parent, so no live
-state loses a path, and a dead P adds f(P) * 0 to the sum. The peel
-can miss a dead state, which costs time only: at n = 24 the unpruned
-levels 0..12 hold 27,066 states, 659 of them live, and the DP keeps
-1,223, as 612 keys (next paragraph).
+Dead states. Call P dead when it has no completion, and split when it
+holds the ends a and a+3d of a four-term AP but neither middle value. A
+split P is dead: a precedes both middles, so a+2d must come before a+d,
+and a+3d precedes both, so a+d must come before a+2d. A split set has
+no unsplit legal child, since placing a+d kills a+2d and vice versa.
+So every legal parent of an unsplit set is unsplit, and when placing v
+splits an unsplit parent, v is an end of the AP. The DP drops exactly
+those children, in whatever order it reaches them, so it keeps the
+reachable unsplit sets, each with its unpruned count. The meet loses
+nothing: if P or its complement is split, f(P) * f([n] minus P) is 0,
+as each factor counts the completions of the other set. At n = 24 the
+unpruned levels 0..12 hold 27,066 states, 659 of them live, and the DP
+keeps 1,636, as 822 keys (next paragraph).
 
 Mirrors. x -> n+1-x keeps a permutation 3AP-free, so P and its mirror
 R(P) = {n+1-u : u in P} have the same f, and one is dead iff the other
 is. Each level keeps one key per mirror pair, the smaller bitmask.
 
 On one core of a 2-vCPU Intel Xeon with Python 3.11.7, theta(64) takes
-1.7 s at 15 MB peak RSS and theta(75) 3.2 s at 16 MB; the full-depth
-DP without the peel took 414 s and 472 MB for theta(64).
+0.4 s at 16 MB peak RSS and theta(75) 0.7 s at 16 MB; the full-depth
+DP without pruning took 414 s and 472 MB for theta(64).
 """
 
 from __future__ import annotations
@@ -175,41 +176,40 @@ def _dp_levels(n: int) -> Iterator[tuple[dict[int, int], dict[int, int]]]:
     Level k maps the smaller key P of each mirror pair of k-sets to its
     legal orderings, and the reflections map P to R(P), bit n+1-u for
     each u in P; a child P | 1 << v has R | 1 << (n+1-v). R shifted left
-    by 2y-n-1 is {2y-u : u in P}, the values that placing y after P
-    would kill, so placing y is legal iff that set misses every unplaced
+    by 2v-n-1 is {2v-u : u in P}, the values that placing v after P
+    would kill, so placing v is legal iff that set misses every unplaced
     value. Expanding P stands for R(P) too, whose children mirror P's:
     a child's paths go to the smaller of it and its mirror, a self-mirror
     child gets them from both P and R(P), and a self-mirror P skips the
-    children whose mirror is smaller, which the same step reaches. A key
-    new to its level is peeled once (`_orderable`) and kept only if it
-    passes. A kept state has its unpruned path count: a legal y has no
-    forced predecessor, so it lies on no cycle, and a cycle that kills a
-    state kills its children too.
+    children whose mirror is smaller, which the same step reaches.
+
+    A child new to its level is kept unless placing v split it (module
+    docstring): `ends[v]` pairs the mask of v+d, v+2d and v+3d with the
+    bit of v+3d for each d != 0, and the child is split at v iff the
+    parent holds v+3d but neither middle value. Every legal parent of a
+    kept state is kept, so its count is unpruned.
     """
     full = (1 << (n + 1)) - 2
-    offset = n + 3  # shift = 2y - n - 1, where b = 1 << y has bit_length y + 1
+    offset = n + 3  # shift = 2v - n - 1, where b = 1 << v has bit_length v + 1
+    ends = [[(1 << v + d | 1 << v + 2 * d | 1 << v + 3 * d, 1 << v + 3 * d)
+             for d in range(-((v - 1) // 3), (n - v) // 3 + 1) if d]
+            for v in range(n + 1)]
     level = {0: 1}
     refls = {0: 0}
     yield level, refls
     for _ in range((n + 1) // 2):
         nxt: dict[int, int] = {}
         nrefls: dict[int, int] = {}
-        dead: set[int] = set()
         for placed, paths in level.items():
             refl = refls[placed]
             symmetric = refl == placed
             unplaced = full ^ placed
-            # (1 << y, the unplaced values that placing y next would kill)
-            kills = []
             m = unplaced
             while m:
                 b = m & -m
                 m ^= b
                 shift = 2 * b.bit_length() - offset
-                killed = refl << shift if shift >= 0 else refl >> -shift
-                kills.append((b, killed & unplaced))
-            for b, killed in kills:
-                if killed:
+                if (refl << shift if shift >= 0 else refl >> -shift) & unplaced:
                     continue
                 v = b.bit_length() - 1
                 key = placed | b
@@ -223,41 +223,15 @@ def _dp_levels(n: int) -> Iterator[tuple[dict[int, int], dict[int, int]]]:
                     gain = 2 * paths
                 if key in nxt:
                     nxt[key] += gain
-                elif key not in dead:
-                    if _orderable(kills, v, unplaced ^ b):
+                else:
+                    for mask, end in ends[v]:
+                        if placed & mask == end:
+                            break
+                    else:
                         nxt[key] = gain
                         nrefls[key] = mirror
-                    else:
-                        dead.add(key)
         level, refls = nxt, nrefls
         yield level, refls
-
-
-def _orderable(kills: list[tuple[int, int]], v: int, rest: int) -> bool:
-    """Whether the forced orders on `rest`, the values a parent state
-    leaves unplaced after v is placed, are acyclic (the module docstring
-    gives the argument). `kills` pairs 1 << y with killed_y & U for each
-    y in the parent's unplaced set U, so y's forced predecessors are
-    (killed_y | 1 << (2y - v)) & rest.
-    """
-    pending = []
-    for b, killed in kills:
-        pred = (killed | b * b >> v) & rest
-        if pred:
-            pending.append((b, pred))
-        elif b & rest:
-            rest ^= b
-    while pending:
-        left = []
-        for b, pred in pending:
-            if pred & rest:
-                left.append((b, pred))
-            else:
-                rest ^= b
-        if len(left) == len(pending):
-            return False
-        pending = left
-    return True
 
 
 def count_dp(n: int) -> int:

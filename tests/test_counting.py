@@ -144,12 +144,12 @@ class TestSubsetDP:
 
     @pytest.mark.slow
     def test_recomputes_builtin_theta_64(self):
-        # About 1.7 s and 15 MB peak RSS on one core; opt in with -m slow.
+        # About 0.4 s and 16 MB peak RSS on one core; opt in with -m slow.
         assert count_dp(64) == THETA_64
 
     @pytest.mark.slow
     def test_recomputes_builtin_theta_75(self):
-        # About 3.2 s and 16 MB peak RSS on one core; opt in with -m slow.
+        # About 0.7 s and 16 MB peak RSS on one core; opt in with -m slow.
         assert count_dp(75) == THETA_75
 
 
@@ -174,6 +174,23 @@ class TestSubsetDPSoundness:
             # A dropped P is dead: no legal ordering of its complement exists.
             for placed in ref[k].keys() - kept.keys():
                 assert full ^ placed not in ref[n - k]
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_kept_states_are_the_unsplit_reference_states(self, n):
+        # P is split when it holds a and a+3d but neither a+d nor a+2d.
+        def split(placed):
+            for a in range(1, n + 1):
+                for d in range(1, (n - a) // 3 + 1):
+                    if (placed >> a & 1 and placed >> a + 3 * d & 1
+                            and not placed >> a + d & 1
+                            and not placed >> a + 2 * d & 1):
+                        return True
+            return False
+
+        ref = reference_levels(n)
+        for k, (level, _) in enumerate(_dp_levels(n)):
+            kept = set(level) | {reflect(placed, n) for placed in level}
+            assert kept == {placed for placed in ref[k] if not split(placed)}
 
     @pytest.mark.parametrize("n", range(1, 25))
     def test_each_level_keeps_the_smaller_member_of_each_mirror_pair(self, n):
@@ -208,8 +225,8 @@ class TestSubsetDPSoundness:
 
     def test_dead_states_are_dropped(self):
         # At n = 24, 96% of the reachable states are dead. Levels 0..12
-        # hold 27,066 states unpruned, and the DP keeps 612 keys, which
-        # stand for 1,223 of them with their mirrors.
+        # hold 27,066 states unpruned, and the DP keeps 822 keys, which
+        # stand for 1,636 of them with their mirrors.
         ref = reference_levels(24)
         kept = sum(1 if refls[placed] == placed else 2
                    for level, refls in _dp_levels(24) for placed in level)

@@ -4,12 +4,13 @@ import pytest
 
 from apfree import (ThetaTable, ValueUnavailable, certificate_text,
                     check_global_bounds, check_halving, check_sandwich,
-                    envelope_estimates, global_theta_bounds, limit_bracket,
-                    monotone_report, reference_constants, separate,
-                    subsequence_point)
+                    count_dp, envelope_estimates, global_theta_bounds,
+                    limit_bracket, monotone_report, reference_constants,
+                    separate, subsequence_point)
 from apfree.growth import doubling_points
 from apfree.roots import ROUND_FLOOR, decimal_nth_root
-from apfree.table import PROVENANCE_INGESTED
+from apfree.table import (BUILTIN_LARGE, BUILTIN_SMALL, PROVENANCE_COMPUTED,
+                          PROVENANCE_INGESTED)
 from conftest import THETA_64, THETA_75, run_checker
 
 
@@ -154,6 +155,25 @@ class TestSeparate:
     def test_missing_value(self):
         with pytest.raises(ValueUnavailable):
             separate(1, 7, 81, 1, ThetaTable())
+
+    @pytest.mark.slow
+    def test_the_papers_pair_is_the_only_one_through_75(self):
+        # theta(1..75) recomputed by the subset DP, about 13 s on one core;
+        # opt in with -m slow. Of the ordered pairs of points n <= 75 with
+        # different odd parts, only 64 against 75 separates.
+        tbl = ThetaTable(include_builtins=False)
+        for n in range(1, 76):
+            tbl.insert(n, count_dp(n), PROVENANCE_COMPUTED)
+        assert tuple(tbl.value(n) for n in range(1, 12)) == BUILTIN_SMALL
+        assert {n: tbl.value(n) for n in BUILTIN_LARGE} == BUILTIN_LARGE
+        # Each n as its point (m, t): n = m * 2^t with m odd.
+        points = [(n >> t, t) for n in range(1, 76)
+                  for t in [(n & -n).bit_length() - 1]]
+        separated = [(m_low << t_low, m_high << t_high)
+                     for m_low, t_low in points for m_high, t_high in points
+                     if m_low != m_high
+                     and separate(m_low, t_low, m_high, t_high, tbl).separated]
+        assert separated == [(64, 75)]
 
 
 class TestCertificateDocument:
