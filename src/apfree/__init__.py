@@ -16,12 +16,10 @@ from .doubling import EVEN_BLOCK_FIRST, ODD_BLOCK_FIRST, double, double_odd
 from .errors import (ApfreeError, ConflictError, ConstructionViolation,
                      InputNot3APFree, LengthMismatch, NotAPermutation,
                      OracleRangeExceeded, ParseError, ValueUnavailable)
-from .growth import (CheckReport, EnvelopeReport, GrowthBound,
-                     SeparationCertificate, certificate_text,
-                     check_global_bounds, check_halving, check_sandwich,
-                     envelope_estimates, global_theta_bounds, limit_bracket,
-                     monotone_report, reference_constants, separate,
-                     subsequence_point)
+from .growth import (CheckReport, GrowthBound, SeparationCertificate,
+                     certificate_text, check_global_bounds, check_halving,
+                     check_sandwich, global_theta_bounds, limit_bracket,
+                     monotone_report, separate, subsequence_point)
 from .perm import (APWitness, Permutation, complement, find_3ap, format_oneline,
                    is_3ap_free, parse_oneline, reverse, validate)
 from .roots import DecimalRoot, decimal_nth_root, nth_root_floor

@@ -152,12 +152,15 @@ def cmd_analyze(args) -> int:
         lines.append(f"  limit({m}) >= {lower}  limit({m}) <= {upper}")
     # The best bracket is the last point's (the largest n), rendered above.
     lines.append(f"best bracket (from n={n}): {lower} <= limit({m}) <= {upper}")
-    for label, root in growth.reference_constants(tbl, digits=min(digits, 6)):
-        lines.append(f"reference {label} = {root.text}")
+    for k in growth._REFERENCE_NS:
+        if k in tbl:
+            root = growth.limit_bracket(k, 0, tbl).lower_decimal(min(digits, 6))
+            lines.append(f"reference (2*theta({k}))^(1/{k}) = {root.text}")
     if growth.LIMINF_POINT in tbl and growth.LIMSUP_POINT in tbl:
-        env = growth.envelope_estimates(tbl, digits=min(digits, 5))
-        lines.append(f"envelope: liminf >= {env.liminf_lower.text}, "
-                     f"limsup <= {env.limsup_upper.text}")
+        liminf = growth.limit_bracket(growth.LIMINF_POINT, 0, tbl)
+        limsup = growth.limit_bracket(growth.LIMSUP_POINT, 0, tbl)
+        lines.append(f"envelope: liminf >= {liminf.lower_decimal(min(digits, 5)).text}, "
+                     f"limsup <= {limsup.upper_decimal(min(digits, 5)).text}")
     print("\n".join(lines))
     return 0
 

@@ -175,10 +175,14 @@ def _read_provenances(path: Path) -> dict[int, str]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        tokens = line.split()
-        if len(tokens) != 2 or tokens[1] not in PROVENANCES:
-            raise ParseError(f"bad provenance line {line!r}", line=lineno)
-        tags[int(tokens[0])] = tokens[1]
+        try:
+            n_text, tag = line.split()
+            n = int(n_text)
+        except ValueError:  # the wrong token count, or a non-integer n
+            tag = None
+        if tag not in PROVENANCES:
+            raise ParseError(f"bad provenance line {line!r} in {path}", line=lineno)
+        tags[n] = tag
     return tags
 
 

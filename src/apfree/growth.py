@@ -234,9 +234,9 @@ def monotone_report(m: int, tbl: ThetaTable,
 
     For each consecutive pair n = m * 2^t, 2n both present, verifies in
     exact integers that the sequence strictly increases
-    (theta(2n) > theta(n)^2) and that the two-sided doubling inequality
-    2*theta(n)^2 <= theta(2n) <= 21*theta(n)^2 holds; these are the
-    (2n)-th powers of the root-form statements, so no roots are taken.
+    (theta(2n) > theta(n)^2) and that `check_sandwich(n)` passes; these
+    are the (2n)-th powers of the root-form statements, so no roots are
+    taken.
     """
     points = doubling_points(m, tbl, max_n)
     steps = [(t1, n1) for (t1, n1) in points if n1 * 2 in tbl and
@@ -252,12 +252,11 @@ def monotone_report(m: int, tbl: ThetaTable,
     for t1, n1 in steps:
         a = tbl.value(n1)
         b = tbl.value(2 * n1)
-        step_ok = (b > a * a) and (LOWER_FACTOR * a * a <= b <= UPPER_FACTOR * a * a)
+        sandwich = check_sandwich(n1, tbl)
+        step_ok = b > a * a and sandwich.passed
         ok = ok and step_ok
-        details.append(
-            f"t={t1}->{t1 + 1}: {LOWER_FACTOR * a * a} <= {b} <= {UPPER_FACTOR * a * a}"
-            f" and {b} > {a * a}: {'ok' if step_ok else 'VIOLATED'}"
-        )
+        details.append(f"t={t1}->{t1 + 1}: {sandwich.detail} and {b} > {a * a}: "
+                       f"{'ok' if step_ok else 'VIOLATED'}")
     return CheckReport(
         name=f"monotone m={m}",
         status="pass" if ok else "fail",
@@ -265,44 +264,8 @@ def monotone_report(m: int, tbl: ThetaTable,
     )
 
 
-REFERENCE_POINTS = (
-    # Historical growth constants: (label, factor, n). Both reproduce from
-    # exact counts; the n=16 one needs a computed or ingested value.
-    ("(2*theta(10))^(1/10)", LOWER_FACTOR, 10),
-    ("(2*theta(16))^(1/16)", LOWER_FACTOR, 16),
-)
-
-
-def reference_constants(tbl: ThetaTable, digits: int = 6) -> list[tuple[str, DecimalRoot]]:
-    """Named historical constants derivable from the table, skipping absent ones."""
-    out = []
-    for label, factor, n in REFERENCE_POINTS:
-        if n in tbl:
-            out.append((label, decimal_nth_root(factor * tbl.value(n), n,
-                                                digits, ROUND_NEAREST)))
-    return out
-
-
-@dataclass(frozen=True)
-class EnvelopeReport:
-    """Outermost proven estimates for the root sequence from large-n data:
-    a lower estimate for its liminf and an upper estimate for its limsup."""
-
-    liminf_lower: DecimalRoot   # (2*theta(160))^(1/160)
-    limsup_upper: DecimalRoot   # (21*theta(128))^(1/128)
-
-
+# The points `analyze` quotes: the lower bracket at each k in _REFERENCE_NS,
+# and the envelope from the brackets at LIMINF_POINT and LIMSUP_POINT.
+_REFERENCE_NS = (10, 16)
 LIMINF_POINT = 160
 LIMSUP_POINT = 128
-
-
-def envelope_estimates(tbl: ThetaTable, digits: int = 5) -> EnvelopeReport:
-    """Liminf and limsup estimates from the n=160 and n=128 counts."""
-    lo_val = tbl.value(LIMINF_POINT)
-    hi_val = tbl.value(LIMSUP_POINT)
-    return EnvelopeReport(
-        liminf_lower=decimal_nth_root(LOWER_FACTOR * lo_val, LIMINF_POINT,
-                                      digits, ROUND_NEAREST),
-        limsup_upper=decimal_nth_root(UPPER_FACTOR * hi_val, LIMSUP_POINT,
-                                      digits, ROUND_NEAREST),
-    )

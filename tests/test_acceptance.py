@@ -13,8 +13,8 @@ import pytest
 
 from apfree import (ThetaTable, certificate_text, check_global_bounds,
                     check_halving, check_sandwich, count_oracle, count_pruned,
-                    decimal_nth_root, envelope_estimates, free_permutations,
-                    ingest_bfile, is_3ap_free, monotone_report, separate,
+                    decimal_nth_root, free_permutations, ingest_bfile,
+                    is_3ap_free, limit_bracket, monotone_report, separate,
                     validate, double, double_odd)
 from apfree.doubling import EVEN_BLOCK_FIRST, ODD_BLOCK_FIRST
 from apfree.roots import ROUND_FLOOR, ROUND_NEAREST
@@ -154,9 +154,8 @@ def test_criterion_08_wider_gap(real_table, tmp_path):
 
 @requires_real_data
 def test_criterion_09_envelope_estimates(real_table):
-    env = envelope_estimates(real_table, digits=5)
-    assert env.liminf_lower.text == "2.20499"
-    assert env.limsup_upper.text == "2.32721"
+    assert limit_bracket(160, 0, real_table).lower_decimal(5).text == "2.20499"
+    assert limit_bracket(128, 0, real_table).upper_decimal(5).text == "2.32721"
     report(9, "liminf/limsup estimates reproduce 2.20499 and 2.32721")
 
 

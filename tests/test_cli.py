@@ -201,6 +201,18 @@ class TestVerify:
         assert code == 1
         assert "sandwich k=6: FAIL" in out
 
+    def test_violated_doubling_step(self, tmp_path):
+        # theta(12) = 4000 keeps the universal bounds for n=12 but is below
+        # 2*theta(6)^2 = 4608, so the m=3 step from n=6 to n=12 fails.
+        bfile = tmp_path / "low12.bfile"
+        bfile.write_text("12 4000\n")
+        code, out, _ = run_cli(["verify", "--bfile", str(bfile)])
+        assert code == 1
+        lines = out.splitlines()
+        assert ("monotone m=3: FAIL  t=0->1: 32 <= 48 <= 336 and 48 > 16: ok; "
+                "t=1->2: 4608 <= 4000 <= 48384 and 4000 > 2304: VIOLATED") in lines
+        assert lines[-1] == "summary: 31 passed, 2 failed, 13 skipped"
+
     def test_max_far_past_the_table_adds_no_work(self):
         # Only the n in the table, and their halves, are visited, so a
         # --max far past the largest n adds nothing but the note's bound.
@@ -347,6 +359,26 @@ class TestAnalyze:
         assert code == 0
         assert "point m=1 t=4 n=16" in out
         assert "reference (2*theta(16))^(1/16) = 2.248037" in out
+
+    def test_builtin_table_quotes_one_reference_and_no_envelope(self):
+        _, out, _ = run_cli(["analyze"])
+        quoted = [line for line in out.splitlines()
+                  if line.startswith(("reference", "envelope"))]
+        assert quoted == ["reference (2*theta(10))^(1/10) = 2.152181"]
+
+    @pytest.mark.parametrize("digits, envelope", [
+        ([], "envelope: liminf >= 2.28747, limsup <= 2.30728"),
+        (["--digits", "4"], "envelope: liminf >= 2.2875, limsup <= 2.3073"),
+    ], ids=["default-digits", "digits-4"])
+    def test_envelope_from_synthetic_large_values(self, tmp_path, digits, envelope):
+        # Powers of two stand in for theta(128) and theta(160): the
+        # envelope is (2 * 2^190)^(1/160) and (21 * 2^150)^(1/128).
+        bfile = tmp_path / "large.bfile"
+        bfile.write_text(f"128 {2 ** 150}\n160 {2 ** 190}\n")
+        code, out, _ = run_cli(["analyze", "--bfile", str(bfile), *digits])
+        assert code == 0
+        assert [line for line in out.splitlines()
+                if line.startswith("envelope")] == [envelope]
 
     def test_no_points_is_an_error(self):
         code, _, _ = run_cli(["analyze", "--m", "13"])  # 13*2^t never present

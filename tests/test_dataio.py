@@ -178,6 +178,23 @@ class TestSaveLoad:
         code, _, err = run_cli(["verify", "--cache", str(path)])
         assert code == 2 and "13" in err
 
+    @pytest.mark.parametrize("sidecar", [
+        "12 computed\nx computed\n",
+        "12 computed\n13\n",
+        "12 computed\n13 computed extra\n",
+        "12 computed\n13 guessed\n",
+    ], ids=["non-integer-n", "one-token", "three-tokens", "unknown-tag"])
+    def test_load_names_the_malformed_sidecar_line(self, tmp_path, sidecar):
+        path = tmp_path / "cache.txt"
+        path.write_text("12 6128\n13 12840\n")
+        dataio.provenance_path(path).write_text(sidecar)
+        with pytest.raises(ParseError, match=r"^line 2: .*cache\.txt\.provenance$"):
+            load_table(path)
+        code, out, err = run_cli(["verify", "--cache", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 2: bad provenance line")
+        assert "cache.txt.provenance" in err
+
     @pytest.mark.parametrize("failing_call", [1, 2])
     def test_interrupted_save_never_loads_wrong_tags(self, tmp_path, monkeypatch,
                                                      failing_call):

@@ -4,9 +4,8 @@ import pytest
 
 from apfree import (ThetaTable, ValueUnavailable, certificate_text,
                     check_global_bounds, check_halving, check_sandwich,
-                    count_dp, envelope_estimates, global_theta_bounds,
-                    limit_bracket, monotone_report, reference_constants,
-                    separate, subsequence_point)
+                    count_dp, global_theta_bounds, limit_bracket,
+                    monotone_report, separate, subsequence_point)
 from apfree.growth import doubling_points
 from apfree.roots import ROUND_FLOOR, decimal_nth_root
 from apfree.table import (BUILTIN_LARGE, BUILTIN_SMALL, PROVENANCE_COMPUTED,
@@ -268,37 +267,31 @@ class TestDoublingPoints:
 
 
 class TestReferenceConstants:
+    # `analyze` quotes (2*theta(k))^(1/k) as the lower bracket at n = k.
     def test_builtin_only_has_the_n10_constant(self):
-        refs = reference_constants(ThetaTable())
-        assert len(refs) == 1
-        label, root = refs[0]
-        assert "theta(10)" in label
-        assert root.text == "2.152181"
+        tbl = ThetaTable()
+        assert limit_bracket(10, 0, tbl).lower_decimal(6).text == "2.152181"
+        with pytest.raises(ValueUnavailable):
+            limit_bracket(16, 0, tbl)
 
     def test_computed_table_adds_the_n16_constant(self, computed_table):
-        refs = dict(reference_constants(computed_table))
-        texts = {label: root.text for label, root in refs.items()}
-        assert texts["(2*theta(10))^(1/10)"] == "2.152181"
-        assert texts["(2*theta(16))^(1/16)"] == "2.248037"
-
-
-def test_envelope_requires_large_values():
-    with pytest.raises(ValueUnavailable):
-        envelope_estimates(ThetaTable())
+        assert limit_bracket(10, 0, computed_table).lower_decimal(6).text == "2.152181"
+        assert limit_bracket(16, 0, computed_table).lower_decimal(6).text == "2.248037"
 
 
 def test_envelope_plumbing_with_synthetic_values():
     # Synthetic powers of two stand in for the real n=128 and n=160 counts
-    # so the report path can be exercised without the published data file.
-    # (2 * 2^190)^(1/160) = 2^(191/160) and (21 * 2^150)^(1/128).
+    # so the envelope's brackets can be exercised without the published
+    # data file. (2 * 2^190)^(1/160) = 2^(191/160) and (21 * 2^150)^(1/128).
     tbl = fake_table(n128=2 ** 150, n160=2 ** 190)
-    env = envelope_estimates(tbl, digits=6)
-    assert env.liminf_lower.radicand == 2 ** 191
-    assert env.limsup_upper.radicand == 21 * 2 ** 150
-    assert env.liminf_lower.bracket_holds()
-    assert env.limsup_upper.bracket_holds()
-    assert env.liminf_lower.text == "2.287466"
-    assert env.limsup_upper.text == "2.307275"
+    liminf = limit_bracket(160, 0, tbl).lower_decimal(6)
+    limsup = limit_bracket(128, 0, tbl).upper_decimal(6)
+    assert liminf.radicand == 2 ** 191
+    assert limsup.radicand == 21 * 2 ** 150
+    assert liminf.bracket_holds()
+    assert limsup.bracket_holds()
+    assert liminf.text == "2.287466"
+    assert limsup.text == "2.307275"
 
 
 def test_sandwich_equivalence_with_root_form():
