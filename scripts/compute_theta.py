@@ -32,7 +32,7 @@ def main():
 
     cache = Path(args.cache)
     cache.parent.mkdir(parents=True, exist_ok=True)
-    tbl = ThetaTable(cache_path=cache)
+    tbl = ThetaTable()
     if cache.exists():
         load_table(cache, tbl)
 
@@ -43,11 +43,13 @@ def main():
         value = theta(n, tbl)
         elapsed = time.monotonic() - started
         tag = tbl.provenance(n) if known else "computed now"
-        wrote = wrote or not known
+        if not known:
+            save_table(tbl, cache)
+            wrote = True
         print(f"n={n}: {value}  [{tag}, {elapsed:.2f}s]")
 
-    # `theta` saves the cache after each new value, so an interrupted run
-    # keeps what it computed; write it here only when there is none yet.
+    # The cache is saved after each new value, so an interrupted run keeps
+    # what it computed; write it here only when there is none yet.
     if not cache.exists():
         save_table(tbl, cache)
         wrote = True

@@ -22,11 +22,11 @@ from pathlib import Path
 
 from . import counting, dataio, doubling, growth, perm
 from .errors import ApfreeError, ConflictError, ConstructionViolation
-from .table import ThetaTable
+from .table import PROVENANCE_COMPUTED, ThetaTable
 
 
 def _assemble_table(cache=None, bfile=None) -> ThetaTable:
-    tbl = ThetaTable(cache_path=cache)
+    tbl = ThetaTable()
     if cache is not None and Path(cache).exists():
         dataio.load_table(cache, tbl)
     if bfile is not None:
@@ -54,7 +54,8 @@ def cmd_count(args) -> int:
         value = counting.count_oracle(args.n)
     else:
         value = counting.count_dp(args.n)
-    counting._record_computed(tbl, args.n, value)
+    if tbl.insert(args.n, value, PROVENANCE_COMPUTED) and args.cache is not None:
+        dataio.save_table(tbl, args.cache)
     print(value)
     return 0
 
@@ -197,8 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use the factorial enumeration oracle instead")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="checked (N >= 1) and otherwise unused: the subset DP "
-                        "runs in one process. Kept while the benchmark's "
-                        "count-jobs workload passes it (ROADMAP item 3)")
+                        "runs in one process. Kept until the benchmark drops "
+                        "its count-jobs workload")
     p.add_argument("--cache", default=None, metavar="PATH")
     p.set_defaults(func=cmd_count)
 

@@ -65,7 +65,6 @@ import collections
 import itertools
 from typing import Iterator
 
-from . import dataio
 from .errors import OracleRangeExceeded
 from .perm import values_3ap_free
 from .table import PROVENANCE_COMPUTED, ThetaTable
@@ -257,23 +256,16 @@ def count_dp(n: int) -> int:
     return total
 
 
-def _record_computed(tbl: ThetaTable, n: int, value: int) -> None:
-    """Insert a computed count, then save the table to its cache path if
-    it has one and the entry is new. A disagreeing entry raises
-    ConflictError before anything is written."""
-    if tbl.insert(n, value, PROVENANCE_COMPUTED) and tbl.cache_path is not None:
-        dataio.save_table(tbl, tbl.cache_path)
-
-
 def theta(n: int, tbl: ThetaTable) -> int:
     """Exact count for n from the table, computing it on a miss.
 
-    A miss runs the subset DP, stores the result with provenance
-    "computed", and saves the table to its cache path when it has one.
-    `tbl.value(n)` is the lookup that never computes.
+    A miss runs the subset DP and stores the result with provenance
+    "computed"; it writes no file, so a caller that holds a cache path
+    saves the table itself. `tbl.value(n)` is the lookup that never
+    computes.
     """
     value = tbl.get(n)
     if value is None:
         value = count_dp(n)
-        _record_computed(tbl, n, value)
+        tbl.insert(n, value, PROVENANCE_COMPUTED)
     return value

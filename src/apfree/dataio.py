@@ -50,8 +50,10 @@ def parse_bfile(source: Source) -> list[BFileEntry]:
 
     Raises ParseError with a line number for malformed lines, wrong token
     counts, non-integers, negative values, or non-ascending n (which also
-    catches duplicates).
+    catches duplicates); when the source is a path, the message ends
+    with " in {path}".
     """
+    where = f" in {source}" if isinstance(source, (str, Path)) else ""
     entries: list[BFileEntry] = []
     last_n = None
     for lineno, raw in enumerate(_iter_lines(source), start=1):
@@ -60,19 +62,20 @@ def parse_bfile(source: Source) -> list[BFileEntry]:
             continue
         tokens = line.split()
         if len(tokens) != 2:
-            raise ParseError(f"expected two tokens, got {len(tokens)}: {line!r}",
-                             line=lineno)
+            raise ParseError(
+                f"expected two tokens, got {len(tokens)}: {line!r}{where}", line=lineno)
         try:
             n, value = int(tokens[0]), int(tokens[1])
         except ValueError:
-            raise ParseError(f"non-integer token in {line!r}", line=lineno) from None
+            raise ParseError(f"non-integer token in {line!r}{where}",
+                             line=lineno) from None
         if n < 0:
-            raise ParseError(f"negative index n={n}", line=lineno)
+            raise ParseError(f"negative index n={n}{where}", line=lineno)
         if value < 0:
-            raise ParseError(f"negative value for n={n}", line=lineno)
+            raise ParseError(f"negative value for n={n}{where}", line=lineno)
         if last_n is not None and n <= last_n:
-            raise ParseError(f"index n={n} not strictly ascending after {last_n}",
-                             line=lineno)
+            raise ParseError(
+                f"index n={n} not strictly ascending after {last_n}{where}", line=lineno)
         last_n = n
         entries.append(BFileEntry(n, value))
     return entries
@@ -198,7 +201,7 @@ def load_table(path: Union[str, Path], tbl: Optional[ThetaTable] = None) -> Thet
     and adds nothing.
     """
     if tbl is None:
-        tbl = ThetaTable(cache_path=path)
+        tbl = ThetaTable()
     entries = [e for e in parse_bfile(path) if e.n != 0]
     sidecar = provenance_path(path)
     tags = _read_provenances(sidecar) if sidecar.exists() else {}

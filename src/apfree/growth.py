@@ -54,47 +54,33 @@ class CheckReport:
         return self.status == "pass"
 
 
+def _inequality(name: str, *chain: int) -> CheckReport:
+    """Report on chain[0] <= chain[1] <= ...: it passes iff the chain is
+    nondecreasing, and its numbers are the chain."""
+    status = "pass" if chain == tuple(sorted(chain)) else "fail"
+    return CheckReport(name, status, chain, " <= ".join(map(str, chain)))
+
+
 def check_sandwich(k: int, tbl: ThetaTable) -> CheckReport:
     """2*theta(k)^2 <= theta(2k) <= 21*theta(k)^2, decided on exact integers."""
-    tk = tbl.value(k)
-    t2k = tbl.value(2 * k)
-    lo = LOWER_FACTOR * tk * tk
-    hi = UPPER_FACTOR * tk * tk
-    ok = lo <= t2k <= hi
-    return CheckReport(
-        name=f"sandwich k={k}",
-        status="pass" if ok else "fail",
-        numbers=(lo, t2k, hi),
-        detail=f"{lo} <= {t2k} <= {hi}",
-    )
+    square = tbl.value(k) ** 2
+    return _inequality(f"sandwich k={k}", LOWER_FACTOR * square, tbl.value(2 * k),
+                       UPPER_FACTOR * square)
 
 
 def check_halving(n: int, tbl: ThetaTable) -> CheckReport:
     """theta(n) <= 21 * theta(ceil(n/2)) * theta(floor(n/2)) for n >= 3."""
     if n < 3:
         raise ValueError(f"halving bound applies for n >= 3, got {n}")
-    tn = tbl.value(n)
-    hi = UPPER_FACTOR * tbl.value((n + 1) // 2) * tbl.value(n // 2)
-    ok = tn <= hi
-    return CheckReport(
-        name=f"halving n={n}",
-        status="pass" if ok else "fail",
-        numbers=(tn, hi),
-        detail=f"{tn} <= {hi}",
-    )
+    return _inequality(f"halving n={n}", tbl.value(n),
+                       UPPER_FACTOR * tbl.value((n + 1) // 2) * tbl.value(n // 2))
 
 
 def check_global_bounds(n: int, tbl: ThetaTable) -> CheckReport:
     """2^(n-1) <= theta(n) <= floor((n+1)/2)! * ceil((n+1)/2)!."""
     tn = tbl.value(n)
     lo, hi = global_theta_bounds(n)
-    ok = lo <= tn <= hi
-    return CheckReport(
-        name=f"global n={n}",
-        status="pass" if ok else "fail",
-        numbers=(lo, tn, hi),
-        detail=f"{lo} <= {tn} <= {hi}",
-    )
+    return _inequality(f"global n={n}", lo, tn, hi)
 
 
 def subsequence_point(m: int, t: int, tbl: ThetaTable,

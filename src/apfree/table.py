@@ -32,18 +32,15 @@ class ThetaEntry(NamedTuple):
 
 
 class ThetaTable:
-    """Mapping n -> exact count, with provenance and optional cache path.
+    """Mapping n -> exact count, with provenance.
 
     Past the builtins, entries enter only through `merge`, all or none:
     an entry that disagrees with one already held raises ConflictError,
-    and one that matches keeps the provenance already held. The cache
-    path is used by callers that persist the table; the table itself
-    never touches the filesystem.
+    and one that matches keeps the provenance already held.
     """
 
-    def __init__(self, include_builtins: bool = True, cache_path=None):
+    def __init__(self, include_builtins: bool = True):
         self.entries: dict[int, ThetaEntry] = {}
-        self.cache_path = cache_path
         if include_builtins:
             for i, v in enumerate(BUILTIN_SMALL, start=1):
                 self.entries[i] = ThetaEntry(v, PROVENANCE_BUILTIN)

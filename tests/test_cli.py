@@ -1,3 +1,4 @@
+import runpy
 import subprocess
 import sys
 import textwrap
@@ -5,7 +6,7 @@ import textwrap
 import pytest
 
 from apfree import ThetaTable, counting, load_table, save_table
-from apfree.table import PROVENANCE_INGESTED
+from apfree.table import PROVENANCE_COMPUTED, PROVENANCE_INGESTED
 from conftest import (COMPUTED_MID, FIXTURE_BFILE, PAPER_SMALL, REPO_ROOT,
                       pow2_newton_root, run_checker, run_cli)
 
@@ -119,6 +120,25 @@ class TestComputeTheta:
         assert proc.returncode == 0, proc.stderr
         loaded = load_table(cache, ThetaTable(include_builtins=False))
         assert loaded.items_sorted() == ThetaTable().items_sorted()
+
+    def test_interrupted_run_keeps_what_it_computed(self, tmp_path, monkeypatch):
+        cache = tmp_path / "ct" / "theta_cache.txt"
+        count_dp = counting.count_dp
+
+        def interrupted_at_13(n):
+            if n == 13:
+                raise RuntimeError("interrupted at n=13")
+            return count_dp(n)
+
+        monkeypatch.setattr(counting, "count_dp", interrupted_at_13)
+        monkeypatch.setattr(sys, "argv", [str(COMPUTE_THETA), "--max", "13",
+                                          "--cache", str(cache)])
+        with pytest.raises(RuntimeError, match="interrupted at n=13"):
+            runpy.run_path(str(COMPUTE_THETA), run_name="__main__")
+        loaded = load_table(cache, ThetaTable(include_builtins=False))
+        assert loaded.value(12) == COMPUTED_MID[12] == 6128
+        assert loaded.provenance(12) == PROVENANCE_COMPUTED
+        assert 13 not in loaded
 
     @pytest.mark.parametrize("bounds, message", [
         (["--min", "0"], "error: --min must be >= 1, got 0"),
@@ -237,6 +257,14 @@ class TestVerify:
     def test_informational_monotonicity_note(self):
         _, out, _ = run_cli(["verify", "--max", "11"])
         assert "nondecreasing" in out and "informational" in out
+
+    @pytest.mark.parametrize("flag", ["--cache", "--bfile"])
+    def test_malformed_file_is_named(self, tmp_path, flag):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("12 x\n")
+        code, out, err = run_cli(["verify", flag, str(bad)])
+        assert (code, out) == (2, "")
+        assert err == f"error: line 1: non-integer token in '12 x' in {bad}\n"
 
     @pytest.mark.parametrize("max_n", ["0", "-5"])
     def test_max_below_one_is_usage_error(self, max_n):

@@ -4,8 +4,8 @@ import pytest
 
 from apfree import (ConflictError, OracleRangeExceeded, ThetaTable,
                     ValueUnavailable, count_dp, count_oracle, count_pruned,
-                    count_verified, free_permutations, is_3ap_free, theta,
-                    validate)
+                    count_verified, counting, free_permutations, is_3ap_free,
+                    theta, validate)
 from apfree.counting import _dp_levels
 from apfree.perm import values_3ap_free
 from apfree.table import (PROVENANCE_BUILTIN, PROVENANCE_COMPUTED,
@@ -264,19 +264,20 @@ class TestThetaLookup:
             tbl.value(201)
         assert 201 not in tbl
 
-    def test_compute_if_missing(self, tmp_path):
-        cache = tmp_path / "cache.txt"
-        tbl = ThetaTable(cache_path=cache)
+    def test_compute_if_missing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        tbl = ThetaTable()
         v = theta(12, tbl)
         assert v == COMPUTED_MID[12]
         assert tbl.provenance(12) == PROVENANCE_COMPUTED
         assert tbl.provenance(11) == PROVENANCE_BUILTIN
-        # The cache was persisted and the computed entry is in it.
-        assert cache.exists()
-        assert f"12 {COMPUTED_MID[12]}" in cache.read_text()
         # A second call is a lookup, not a recount.
+        monkeypatch.setattr(counting, "count_dp",
+                            lambda n: pytest.fail(f"recounted n={n}"))
         assert tbl.value(12) == v
         assert theta(12, tbl) == v
+        # theta writes no file; saving is the caller's job.
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestThetaTable:

@@ -106,7 +106,7 @@ class TestIngest:
 class TestSaveLoad:
     def test_round_trip_entries_and_provenance(self, tmp_path):
         path = tmp_path / "cache.txt"
-        tbl = ThetaTable(cache_path=path)
+        tbl = ThetaTable()
         tbl.insert(12, 6128, PROVENANCE_COMPUTED)
         tbl.insert(13, 12840, PROVENANCE_INGESTED)
         save_table(tbl, path)

@@ -37,6 +37,7 @@ class TestChecks:
         tbl = ThetaTable()
         r = check_sandwich(3, tbl)
         assert r.passed and r.numbers == (32, 48, 336)
+        assert (r.name, r.detail) == ("sandwich k=3", "32 <= 48 <= 336")
         r = check_sandwich(5, tbl)
         assert r.passed and r.numbers == (800, 1066, 8400)
         r = check_sandwich(1, tbl)  # lower bound is tight here
@@ -50,12 +51,17 @@ class TestChecks:
         r = check_sandwich(1, fake_table(n1=1, n2=100))
         assert r.status == "fail"
         assert r.numbers == (2, 100, 21)
+        assert (r.name, r.detail) == ("sandwich k=1", "2 <= 100 <= 21")
+        r = check_sandwich(1, fake_table(n1=1, n2=1))  # below the lower end
+        assert r.status == "fail" and r.numbers == (2, 1, 21)
 
     def test_halving_examples(self):
         tbl = ThetaTable()
         assert check_halving(7, tbl).numbers == (104, 840)
         assert check_halving(11, tbl).numbers == (2460, 20160)
-        assert check_halving(3, tbl).numbers == (4, 42)
+        r = check_halving(3, tbl)
+        assert r.numbers == (4, 42)
+        assert (r.name, r.detail) == ("halving n=3", "4 <= 42")
         assert all(check_halving(n, tbl).passed for n in range(3, 12))
 
     def test_halving_requires_n_at_least_three(self):
@@ -65,17 +71,26 @@ class TestChecks:
     def test_halving_failure_detected(self):
         r = check_halving(3, fake_table(n1=1, n2=2, n3=100))
         assert r.status == "fail" and r.numbers == (100, 42)
+        assert (r.name, r.detail) == ("halving n=3", "100 <= 42")
+        r = check_halving(3, fake_table(n1=1, n2=2, n3=42))  # equality passes
+        assert r.passed and r.numbers == (42, 42)
 
     def test_global_bounds_examples(self):
         tbl = ThetaTable()
-        assert check_global_bounds(4, tbl).numbers == (8, 10, 12)
+        r = check_global_bounds(4, tbl)
+        assert r.numbers == (8, 10, 12)
+        assert (r.name, r.detail) == ("global n=4", "8 <= 10 <= 12")
         assert check_global_bounds(1, tbl).numbers == (1, 1, 1)
         assert check_global_bounds(9, tbl).numbers == (256, 496, 14400)
         assert all(check_global_bounds(n, tbl).passed for n in tbl.available())
 
     def test_global_bounds_failure_detected(self):
-        assert check_global_bounds(4, fake_table(n4=7)).status == "fail"
-        assert check_global_bounds(4, fake_table(n4=13)).status == "fail"
+        low = check_global_bounds(4, fake_table(n4=7))
+        assert low.status == "fail" and low.numbers == (8, 7, 12)
+        assert (low.name, low.detail) == ("global n=4", "8 <= 7 <= 12")
+        high = check_global_bounds(4, fake_table(n4=13))
+        assert high.status == "fail" and high.numbers == (8, 13, 12)
+        assert high.detail == "8 <= 13 <= 12"
 
 
 class TestSubsequencePoint:
