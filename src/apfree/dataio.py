@@ -22,6 +22,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, TextIO, Union
 
+try:
+    import fcntl
+except ImportError:  # not POSIX
+    fcntl = None
+
 from .errors import ConflictError, ParseError, ValueUnavailable
 from .growth import global_theta_bounds
 from .roots import ROUND_NEAREST, decimal_nth_root
@@ -140,11 +145,12 @@ def save_table(tbl: ThetaTable, path: Union[str, Path]) -> None:
     saved since it was loaded and keeps its own tags for the ones it
     already holds, and a cache that disagrees with the table raises
     ConflictError (a corrupt one ParseError) before anything is added
-    or written. Two processes that load the same cache and each add an
-    entry therefore both keep it, unless one renames its files in the
-    window between the other's re-read and its renames, the time it
-    takes to write the two files; entries saved in that window are
-    lost, as there is no lock.
+    or written. Each save holds an exclusive lock on "<cache>.lock" from
+    its re-read through both renames, so two processes that load the
+    same cache and each add an entry both keep it, however their saves
+    interleave. The lock file is left in place: removing it would let a
+    later save lock a new file while an earlier one still holds the old.
+    Where fcntl is missing (not POSIX), saves run unlocked.
 
     Each file is written beside its target and renamed over it, the
     sidecar first, so neither is ever left half written. A table only
@@ -154,11 +160,14 @@ def save_table(tbl: ThetaTable, path: Union[str, Path]) -> None:
     the renames guard against a failed write, not against power loss.
     """
     path = Path(path)
-    if path.exists():
-        load_table(path, tbl)
-    items = tbl.items_sorted()
-    _write_then_rename(provenance_path(path), [f"{n} {e.provenance}\n" for n, e in items])
-    _write_then_rename(path, [f"{n} {e.value}\n" for n, e in items])
+    with open(path.with_name(f"{path.name}.lock"), "a") as lock:
+        if fcntl is not None:
+            fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
+        if path.exists():
+            load_table(path, tbl)
+        items = tbl.items_sorted()
+        _write_then_rename(provenance_path(path), [f"{n} {e.provenance}\n" for n, e in items])
+        _write_then_rename(path, [f"{n} {e.value}\n" for n, e in items])
 
 
 def _write_then_rename(path: Path, lines: list[str]) -> None:

@@ -4,7 +4,8 @@ Every decimal printed by this package comes from integer arithmetic: the
 scaled approximation of R^(1/r) is an integer nth root, and its quality is
 certified by comparing integer powers, never by floating point. The integer
 root comes from Newton's method, started from a guess built out of a root
-of half the precision; the guess sets only how long Newton takes.
+of half the precision; the guess sets only how long Newton takes. Each
+Newton step costs one full power, which also decides when to stop.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ def nth_root_floor(x: int, r: int) -> int:
     It is also within a factor 1 + 1/h of the root, so each level takes
     a few Newton steps; a power-of-two guess can be twice the root,
     and then Newton, which shrinks an overshoot by about (r-1)/r per
-    step, takes about r steps. Integer Newton started above the floor
-    root never drops below it, and two loops of exact power comparisons
-    then settle the result, so no guess can make it inexact.
+    step, takes about r steps. Each level stops at its first iterate g
+    with g**r <= x; `_root_from_above` shows why that g is the floor
+    root, so no guess can make the result inexact.
     """
     if r < 1:
         raise ValueError(f"root degree must be >= 1, got {r}")
@@ -54,16 +55,22 @@ def nth_root_floor(x: int, r: int) -> int:
 
 
 def _root_from_above(x: int, r: int, g: int) -> int:
-    """Floor rth root of x by Newton's method from a guess g >= the root."""
-    while True:
-        t = ((r - 1) * g + x // g ** (r - 1)) // r
-        if t >= g:
-            break
-        g = t
-    while g ** r > x:
-        g -= 1
-    while (g + 1) ** r <= x:
-        g += 1
+    """Floor rth root of x >= 1 by Newton's method from a guess g >= 1.
+
+    While p = g**r > x, step to ((r-1)*g + x*g // p) // r, where x*g // p
+    is x // g**(r-1). By AM-GM, (r-1)*g + x/g**(r-1) >= r * x**(1/r), and
+    the floors keep the step at or above the floor root; g**r > x makes it
+    drop below g. So the first g with g**r <= x is the floor root. A guess
+    that starts at or below the root walks up instead.
+    """
+    p = g ** r
+    if p <= x:
+        while (g + 1) ** r <= x:
+            g += 1
+        return g
+    while p > x:
+        g = ((r - 1) * g + x * g // p) // r
+        p = g ** r
     return g
 
 
@@ -131,16 +138,17 @@ class DecimalRoot:
 
 def decimal_nth_root(radicand: int, degree: int, digits: int,
                      mode: str = ROUND_FLOOR) -> DecimalRoot:
-    """Compute radicand**(1/degree) to `digits` decimal places, exactly."""
+    """Compute radicand**(1/degree) to `digits` decimal places, exactly.
+
+    Both modes halve t = floor(2*root): t is odd exactly when the root's
+    fraction is at least 1/2, so t >> 1 truncates and (t + 1) >> 1 rounds
+    half up.
+    """
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")
     if mode not in (ROUND_FLOOR, ROUND_NEAREST):
         raise ValueError(f"unknown rounding mode {mode!r}")
     target = radicand * 10 ** (degree * digits)
-    scaled = nth_root_floor(target, degree)
-    if mode == ROUND_NEAREST:
-        # Round up when the true root is at or above the midpoint, i.e.
-        # when 2**r * target >= (2*scaled + 1)**r.
-        if (target << degree) >= (2 * scaled + 1) ** degree:
-            scaled += 1
+    twice = nth_root_floor(target << degree, degree)
+    scaled = (twice + (mode == ROUND_NEAREST)) >> 1
     return DecimalRoot(radicand, degree, digits, scaled, mode)

@@ -1,4 +1,8 @@
 import io
+import subprocess
+import sys
+import textwrap
+import time
 
 import pytest
 from hypothesis import given
@@ -11,6 +15,8 @@ from apfree import (BFileEntry, ConflictError, ParseError, ThetaTable,
 from apfree.table import (PROVENANCE_BUILTIN, PROVENANCE_COMPUTED,
                           PROVENANCE_INGESTED)
 from conftest import COMPUTED_MID, FIXTURE_BFILE, THETA_64, run_cli
+
+needs_flock = pytest.mark.skipif(dataio.fcntl is None, reason="needs POSIX flock")
 
 
 class TestParseBFile:
@@ -225,7 +231,7 @@ class TestSaveLoad:
             with pytest.raises(ParseError):
                 load_table(path)
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "cache.txt", "cache.txt.provenance"]
+            "cache.txt", "cache.txt.lock", "cache.txt.provenance"]
 
     def test_concurrent_writers_keep_both_entries(self, tmp_path):
         # Both tables load the same cache before either saves; the second
@@ -241,6 +247,51 @@ class TestSaveLoad:
         assert again.value(12) == 6128 and again.value(13) == 12840
         assert again.provenance(12) == PROVENANCE_COMPUTED
         assert again.provenance(13) == PROVENANCE_INGESTED
+
+    @needs_flock
+    def test_a_save_waits_for_the_lock_and_keeps_what_its_holder_wrote(self, tmp_path):
+        path = tmp_path / "cache.txt"
+        save_table(ThetaTable(), path)
+        saver = subprocess.Popen([sys.executable, "-c", textwrap.dedent("""
+            import sys
+            from apfree import ThetaTable, save_table
+            tbl = ThetaTable()
+            tbl.insert(12, 6128, "computed")
+            print("saving", flush=True)
+            save_table(tbl, sys.argv[1])
+        """), str(path)], stdout=subprocess.PIPE, text=True)
+        with open(tmp_path / "cache.txt.lock", "a") as lock:
+            dataio.fcntl.flock(lock, dataio.fcntl.LOCK_EX)
+            assert saver.stdout.readline() == "saving\n"
+            time.sleep(0.5)  # an unlocked save finishes well within this
+            assert saver.poll() is None
+            # What another saver writes between its re-read and its renames.
+            path.write_text("13 12840\n")
+            dataio.provenance_path(path).write_text("13 ingested\n")
+        assert saver.wait(timeout=60) == 0
+        saver.stdout.close()
+        again = load_table(path)
+        assert again.provenance(12) == PROVENANCE_COMPUTED
+        assert again.provenance(13) == PROVENANCE_INGESTED
+
+    @needs_flock
+    def test_two_processes_saving_at_once_lose_no_entry(self, tmp_path):
+        path = tmp_path / "cache.txt"
+        script = textwrap.dedent("""
+            import sys
+            from apfree import ThetaTable, global_theta_bounds, save_table
+            path, first = sys.argv[1], int(sys.argv[2])
+            tbl = ThetaTable(include_builtins=False)
+            for n in range(first, first + 20):
+                tbl.insert(n, global_theta_bounds(n)[0], "computed")
+                save_table(tbl, path)
+        """)
+        savers = [subprocess.Popen([sys.executable, "-c", script, str(path), str(first)])
+                  for first in (17, 37)]
+        assert [saver.wait(timeout=120) for saver in savers] == [0, 0]
+        tbl = ThetaTable(include_builtins=False)
+        load_table(path, tbl)
+        assert tbl.available(56) == list(range(17, 57))
 
     def test_save_over_a_disagreeing_cache_writes_nothing(self, tmp_path):
         path = tmp_path / "cache.txt"

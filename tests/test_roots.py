@@ -6,12 +6,24 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apfree import decimal_nth_root, nth_root_floor
-from apfree.roots import ROUND_FLOOR, ROUND_NEAREST, decimal_text
+from apfree.roots import (ROUND_FLOOR, ROUND_NEAREST, _root_from_above,
+                          decimal_text)
 from conftest import THETA_64, THETA_75, pow2_newton_root
 
 # The radicands behind the headline certificate limit(1) > limit(75).
 HEADLINE_RADICANDS = [(2 * THETA_64, 64), (21 * THETA_64, 64),
                       (2 * THETA_75, 75), (21 * THETA_75, 75)]
+
+
+def midpoint_rounded(radicand, degree, digits, floor_root=pow2_newton_root):
+    """The scaled root in each mode by the formula `decimal_nth_root` used
+    before it halved floor(2*root): s = the floor root of R*10**(r*d), to
+    which nearest mode adds 1 when 2**r * R*10**(r*d) >= (2s + 1)**r."""
+    target = radicand * 10 ** (degree * digits)
+    s = floor_root(target, degree)
+    assert s ** degree <= target < (s + 1) ** degree
+    up = (target << degree) >= (2 * s + 1) ** degree
+    return {ROUND_FLOOR: s, ROUND_NEAREST: s + up}
 
 
 class TestNthRootFloor:
@@ -68,6 +80,29 @@ class TestNthRootFloor:
         assert nth_root_floor(x, r) == pow2_newton_root(x, r)
 
 
+class TestRootFromAbove:
+    """Newton stops at the first g with g**r <= x from any guess."""
+
+    @pytest.mark.parametrize("x,r", [
+        (2, 2), (8, 3), (9, 2), (10200, 2), (10 ** 30, 7), (3 ** 200 - 1, 50),
+        (2 * THETA_64 * 10 ** (64 * 11), 64), (21 * THETA_75 * 10 ** (75 * 20), 75),
+    ])
+    def test_guesses_above_at_and_below_the_root(self, x, r):
+        root = pow2_newton_root(x, r)
+        above = [root + 1, 2 * root + 3, 4 * root]
+        # A guess below the root walks up one step at a time.
+        below = [g for g in (root - 1, root - 5, 1) if 1 <= g and root - g <= 10 ** 4]
+        for g in above + [root] + below:
+            assert _root_from_above(x, r, g) == root, g
+
+    @given(st.integers(min_value=1, max_value=10 ** 60),
+           st.integers(min_value=1, max_value=40),
+           st.integers(min_value=-20, max_value=10 ** 6))
+    def test_guess_near_or_far_above(self, x, r, offset):
+        root = pow2_newton_root(x, r)
+        assert _root_from_above(x, r, max(root + offset, 1)) == root
+
+
 class TestDecimalRoot:
     def test_truncation_vs_nearest(self):
         # sqrt(2) = 1.41421356...: the 7th digit rounds the 6th up.
@@ -118,9 +153,46 @@ class TestDecimalRoot:
         assert root.bracket_holds()
         assert root.ulp_bracket_holds()
 
+    @settings(deadline=None)
+    @given(st.integers(min_value=0, max_value=10 ** 40),
+           st.integers(min_value=1, max_value=80),
+           st.integers(min_value=1, max_value=30),
+           st.sampled_from([ROUND_FLOOR, ROUND_NEAREST]))
+    @example(radicand=8, degree=3, digits=4, mode=ROUND_NEAREST)
+    @example(radicand=21 * THETA_75, degree=75, digits=200, mode=ROUND_NEAREST)
+    def test_equals_the_midpoint_formula(self, radicand, degree, digits, mode):
+        root = decimal_nth_root(radicand, degree, digits, mode)
+        assert root.scaled == midpoint_rounded(radicand, degree, digits)[mode]
+
     @given(st.integers(min_value=1, max_value=10 ** 30),
            st.integers(min_value=1, max_value=40))
     def test_modes_differ_by_at_most_one_ulp(self, radicand, degree):
         lo = decimal_nth_root(radicand, degree, 8, ROUND_FLOOR)
         near = decimal_nth_root(radicand, degree, 8, ROUND_NEAREST)
         assert near.scaled in (lo.scaled, lo.scaled + 1)
+
+
+@pytest.mark.slow
+class TestSeededSweep:
+    def test_nth_root_floor_against_power_of_two_newton(self):
+        # About 6 s on one core; opt in with -m slow.
+        rng = random.Random(20000)
+        for r in range(1, 201):
+            for _ in range(3):
+                x = rng.getrandbits(rng.randint(1, 20000))
+                assert nth_root_floor(x, r) == pow2_newton_root(x, r), (x, r)
+            g = rng.getrandbits(rng.randint(1, 20000 // r)) | 1
+            for x in (g ** r - 1, g ** r, g ** r + 1):
+                assert nth_root_floor(x, r) == pow2_newton_root(x, r), (x, r)
+
+    @pytest.mark.parametrize("radicand,r", HEADLINE_RADICANDS,
+                             ids=["2theta64", "21theta64", "2theta75", "21theta75"])
+    def test_headline_roots_at_every_digit_count_to_400(self, radicand, r):
+        # 3 to 5 s each on one core; opt in with -m slow. The old formula's
+        # floor root comes from nth_root_floor here, checked by its exact
+        # bracket: pow2_newton_root would take minutes.
+        for digits in range(1, 401):
+            expected = midpoint_rounded(radicand, r, digits, nth_root_floor)
+            for mode in (ROUND_FLOOR, ROUND_NEAREST):
+                root = decimal_nth_root(radicand, r, digits, mode)
+                assert root.scaled == expected[mode], (digits, mode)
