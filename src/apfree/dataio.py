@@ -136,6 +136,10 @@ def provenance_path(cache_path: Union[str, Path]) -> Path:
     return Path(f"{cache_path}.provenance")
 
 
+def _lock_path(cache_path: Union[str, Path]) -> Path:
+    return Path(f"{cache_path}.lock")
+
+
 def save_table(tbl: ThetaTable, path: Union[str, Path]) -> None:
     """Merge the cache at `path` into the table, then write the table
     there as a b-file plus a provenance sidecar.
@@ -148,9 +152,11 @@ def save_table(tbl: ThetaTable, path: Union[str, Path]) -> None:
     or written. Each save holds an exclusive lock on "<cache>.lock" from
     its re-read through both renames, so two processes that load the
     same cache and each add an entry both keep it, however their saves
-    interleave. The lock file is left in place: removing it would let a
-    later save lock a new file while an earlier one still holds the old.
-    Where fcntl is missing (not POSIX), saves run unlocked.
+    interleave, and `load_table` takes the same lock shared, so no reader
+    sees the sidecar of one save beside the b-file of another. The lock
+    file is left in place: removing it would let a later save lock a new
+    file while an earlier one still holds the old. Where fcntl is missing
+    (not POSIX), saves and loads run unlocked.
 
     Each file is written beside its target and renamed over it, the
     sidecar first, so neither is ever left half written. A table only
@@ -160,11 +166,13 @@ def save_table(tbl: ThetaTable, path: Union[str, Path]) -> None:
     the renames guard against a failed write, not against power loss.
     """
     path = Path(path)
-    with open(path.with_name(f"{path.name}.lock"), "a") as lock:
+    with open(_lock_path(path), "a") as lock:
         if fcntl is not None:
             fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
         if path.exists():
-            load_table(path, tbl)
+            # Unlocked: a second flock on another open of the lock file
+            # would wait for this one.
+            _load(path, tbl)
         items = tbl.items_sorted()
         _write_then_rename(provenance_path(path), [f"{n} {e.provenance}\n" for n, e in items])
         _write_then_rename(path, [f"{n} {e.value}\n" for n, e in items])
@@ -208,7 +216,24 @@ def load_table(path: Union[str, Path], tbl: Optional[ThetaTable] = None) -> Thet
     touched, and the entries then go through `ThetaTable.merge`, so a
     value conflicting with one already in the table raises ConflictError
     and adds nothing.
+
+    When "<cache>.lock" exists, the load holds a shared lock on it, so it
+    waits for a `save_table` that is between its two renames. The lock
+    file is opened read-only and never created: a cache that no save has
+    written is read unlocked.
     """
+    try:
+        lock = open(_lock_path(path), "rb")
+    except FileNotFoundError:
+        return _load(path, tbl)
+    with lock:
+        if fcntl is not None:
+            fcntl.flock(lock, fcntl.LOCK_SH)  # released when the file closes
+        return _load(path, tbl)
+
+
+def _load(path: Union[str, Path], tbl: Optional[ThetaTable]) -> ThetaTable:
+    """`load_table` without the lock."""
     if tbl is None:
         tbl = ThetaTable()
     entries = [e for e in parse_bfile(path) if e.n != 0]

@@ -76,8 +76,9 @@ def brute_all_witnesses(values):
 def pow2_newton_root(x, r):
     """Reference floor rth root by Newton from a power of two above the root.
 
-    An oracle for `nth_root_floor`, which seeds Newton from a root of half
-    the precision instead.
+    An oracle for `nth_root_floor`, which shares none of its method: no
+    float seed, no truncated powers and no binomial check, only exact
+    Newton steps from 2**(bits + 1) and exact fix-up loops.
     """
     if r == 1 or x in (0, 1):
         return x

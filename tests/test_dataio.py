@@ -293,6 +293,41 @@ class TestSaveLoad:
         load_table(path, tbl)
         assert tbl.available(56) == list(range(17, 57))
 
+    @needs_flock
+    def test_loads_during_saves_never_see_half_a_save(self, tmp_path):
+        # Each save renames its sidecar and then its b-file; a load that
+        # read between the two renames would find tags for an n the b-file
+        # lacks and raise ParseError; without the shared lock, about one
+        # load in ten does.
+        path = tmp_path / "cache.txt"
+        save_table(ThetaTable(include_builtins=False), path)
+        saver = subprocess.Popen([sys.executable, "-c", textwrap.dedent("""
+            import sys
+            from apfree import ThetaTable, global_theta_bounds, save_table
+            tbl = ThetaTable(include_builtins=False)
+            for n in range(17, 217):
+                tbl.insert(n, global_theta_bounds(n)[0], "computed")
+                save_table(tbl, sys.argv[1])
+        """), str(path)])
+        loads, torn = 0, []
+        deadline = time.monotonic() + 120
+        while saver.poll() is None and time.monotonic() < deadline:
+            try:
+                load_table(path, ThetaTable(include_builtins=False))
+            except ParseError as exc:
+                torn.append(str(exc))
+            loads += 1
+        assert saver.wait(timeout=60) == 0
+        assert loads > 0 and torn == []
+        assert load_table(path, ThetaTable(include_builtins=False)).available(216) == \
+            list(range(17, 217))
+
+    def test_load_takes_no_lock_it_did_not_find(self, tmp_path):
+        path = tmp_path / "cache.txt"
+        path.write_text("12 6128\n")
+        assert load_table(path).value(12) == 6128
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.txt"]
+
     def test_save_over_a_disagreeing_cache_writes_nothing(self, tmp_path):
         path = tmp_path / "cache.txt"
         other = ThetaTable()

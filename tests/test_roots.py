@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from apfree import decimal_nth_root, nth_root_floor
+from apfree import decimal_nth_root, nth_root_floor, roots
 from apfree.roots import (ROUND_FLOOR, ROUND_NEAREST, _root_from_above,
-                          decimal_text)
+                          _truncated_power, decimal_text)
 from conftest import THETA_64, THETA_75, pow2_newton_root
 
 # The radicands behind the headline certificate limit(1) > limit(75).
@@ -80,6 +80,81 @@ class TestNthRootFloor:
         assert nth_root_floor(x, r) == pow2_newton_root(x, r)
 
 
+class TestGuessThenCheck:
+    """Every guess gets the floor root; the float-seeded guess needs no
+    Newton fallback on the headline roots."""
+
+    CASES = [(10 ** 30, 7), (3 ** 200 - 1, 50), (2 ** 4000 + 12345, 3),
+             (2 * THETA_64 * 10 ** (64 * 11), 64), (21 * THETA_75 * 10 ** (75 * 20), 75),
+             (5 ** 200 + 1, 200)]
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        calls = []
+
+        def counted(x, r, g):
+            calls.append(g)
+            return _root_from_above(x, r, g)
+
+        monkeypatch.setattr(roots, "_root_from_above", counted)
+        return calls
+
+    @pytest.mark.parametrize("x,r", CASES)
+    @pytest.mark.parametrize("wrong", ["floor-3", "floor-1", "floor+1", "floor+5", "1",
+                                       "1<<(bits+2)"])
+    def test_wrong_guesses_fall_back_to_the_floor_root(self, x, r, wrong, monkeypatch,
+                                                       fallbacks):
+        root = pow2_newton_root(x, r)
+        bits = -(-x.bit_length() // r)
+        guess = {"floor-3": root - 3, "floor-1": root - 1, "floor+1": root + 1,
+                 "floor+5": root + 5, "1": 1, "1<<(bits+2)": 1 << (bits + 2)}[wrong]
+        monkeypatch.setattr(roots, "_root_guess", lambda x, r: guess)
+        assert nth_root_floor(x, r) == root
+        assert len(fallbacks) == 1
+        # Each fallback starts above the root, so it never walks upward.
+        assert fallbacks[0] > root
+
+    @pytest.mark.parametrize("x,r", CASES)
+    def test_the_right_guess_is_returned_without_newton(self, x, r, monkeypatch, fallbacks):
+        root = pow2_newton_root(x, r)
+        monkeypatch.setattr(roots, "_root_guess", lambda x, r: root)
+        assert nth_root_floor(x, r) == root
+        assert fallbacks == []
+
+    @pytest.mark.parametrize("t", [1, 2])
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    def test_small_roots_of_high_degree_take_the_exact_branch(self, t, k, fallbacks):
+        # Between t**200 and (t+1)**200 the gap is far more than
+        # 200 * t**199, so for x high in it the cheap test fails and
+        # (t+1)**200 > x decides.
+        r = 200
+        x = (t + 1) ** r - (t + 1) ** r // k
+        assert x - t ** r >= r * t ** (r - 1)
+        assert nth_root_floor(x, r) == pow2_newton_root(x, r) == t
+        assert fallbacks == []
+
+    @pytest.mark.parametrize("radicand,r", HEADLINE_RADICANDS,
+                             ids=["2theta64", "21theta64", "2theta75", "21theta75"])
+    def test_headline_roots_need_no_fallback(self, radicand, r, fallbacks):
+        # A count, not a time: the one-power check decides every one of
+        # these 400 roots, so none of them runs a full-size Newton step.
+        for digits in range(1, 201):
+            for mode in (ROUND_FLOOR, ROUND_NEAREST):
+                decimal_nth_root(radicand, r, digits, mode)
+        assert fallbacks == []
+
+    @given(st.integers(min_value=1, max_value=2 ** 300),
+           st.integers(min_value=1, max_value=80),
+           st.integers(min_value=1, max_value=120))
+    def test_truncated_power_is_a_close_lower_bound(self, g, k, prec):
+        m, e = _truncated_power(g, k, prec)
+        exact = g ** k
+        assert (e, m) == (0, exact) or m.bit_length() <= prec
+        # m * 2**e <= g**k, within a factor (1 - 2**(1 - prec))**(2*k).
+        assert m << e <= exact
+        assert m << (e + 2 * k * (prec - 1)) >= exact * (2 ** (prec - 1) - 1) ** (2 * k)
+
+
 class TestRootFromAbove:
     """Newton stops at the first g with g**r <= x from any guess."""
 
@@ -140,6 +215,11 @@ class TestDecimalRoot:
             decimal_nth_root(2, 2, 0)
         with pytest.raises(ValueError):
             decimal_nth_root(2, 2, 5, "sideways")
+        # The messages name the caller's values, not the scaled radicand.
+        with pytest.raises(ValueError, match=r"^radicand must be >= 0, got -5$"):
+            decimal_nth_root(-5, 2, 3)
+        with pytest.raises(ValueError, match=r"^root degree must be >= 1, got -1$"):
+            decimal_nth_root(5, -1, 3)
 
     @given(st.integers(min_value=0, max_value=10 ** 40),
            st.integers(min_value=1, max_value=60),
