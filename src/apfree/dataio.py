@@ -42,6 +42,13 @@ class BFileEntry(NamedTuple):
     value: int
 
 
+def _is_integer(token: str) -> bool:
+    """Whether token is an integer of the b-file and sidecar grammar:
+    ASCII digits after an optional minus sign. int() alone also takes
+    "+4", "1_0" and non-ASCII digits."""
+    return token.isascii() and token.removeprefix("-").isdigit()
+
+
 def _iter_lines(source: Source) -> Iterator[str]:
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
@@ -69,11 +76,9 @@ def parse_bfile(source: Source) -> list[BFileEntry]:
         if len(tokens) != 2:
             raise ParseError(
                 f"expected two tokens, got {len(tokens)}: {line!r}{where}", line=lineno)
-        try:
-            n, value = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise ParseError(f"non-integer token in {line!r}{where}",
-                             line=lineno) from None
+        if not (_is_integer(tokens[0]) and _is_integer(tokens[1])):
+            raise ParseError(f"non-integer token in {line!r}{where}", line=lineno)
+        n, value = int(tokens[0]), int(tokens[1])
         if n < 0:
             raise ParseError(f"negative index n={n}{where}", line=lineno)
         if value < 0:
@@ -195,14 +200,10 @@ def _read_provenances(path: Path) -> dict[int, str]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        try:
-            n_text, tag = line.split()
-            n = int(n_text)
-        except ValueError:  # the wrong token count, or a non-integer n
-            tag = None
-        if tag not in PROVENANCES:
+        tokens = line.split()
+        if not (len(tokens) == 2 and _is_integer(tokens[0]) and tokens[1] in PROVENANCES):
             raise ParseError(f"bad provenance line {line!r} in {path}", line=lineno)
-        tags[n] = tag
+        tags[int(tokens[0])] = tokens[1]
     return tags
 
 

@@ -225,9 +225,8 @@ def monotone_report(m: int, tbl: ThetaTable,
     taken.
     """
     points = doubling_points(m, tbl, max_n)
-    steps = [(t1, n1) for (t1, n1) in points if n1 * 2 in tbl and
-             (max_n is None or n1 * 2 <= max_n)]
-    if len(points) < 2 or not steps:
+    steps = [(t, n) for (t, n), (u, _) in zip(points, points[1:]) if u == t + 1]
+    if not steps:
         return CheckReport(
             name=f"monotone m={m}",
             status="skip",

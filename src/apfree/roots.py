@@ -3,12 +3,13 @@
 Every decimal printed by this package comes from integer arithmetic: the
 scaled approximation of R^(1/r) is an integer nth root, and its quality is
 certified by comparing integer powers, never by floating point. The integer
-root is a cheap guess certified by one exact power. The guess comes from a
-ladder of precisions that roughly doubles at each level, with one Newton
-step per level on a power truncated to that level's precision. One exact
-t**(r-1), with the binomial bound (t+1)**r - t**r >= r*t**(r-1), then
-proves the guess t is the floor root. A float seeds the lowest level; like
-the rest of the guess it sets only how long the root takes, never its value.
+root is a guess, one exact check, then one descent from above. A float
+seeds the guess, which climbs a ladder of precisions that roughly doubles
+at each level, with one Newton step per level on a power truncated to that
+level's precision. One exact t**(r-1) and the binomial bound (t+1)**r -
+t**r >= r*t**(r-1) check the guess t; a guess that fails starts a Newton
+descent from above that stops at the floor root, so the guess sets only
+how long the root takes, never its value.
 """
 
 from __future__ import annotations
@@ -25,17 +26,20 @@ _SEED_BITS = 40
 
 
 def nth_root_floor(x: int, r: int) -> int:
-    """Largest integer t with t**r <= x: a guess, then one exact check.
+    """Largest integer t with t**r <= x: a guess, one exact check, then a
+    Newton descent from above if the check fails.
 
     `_root_guess` gives t. With q = t**(r-1) and p = q*t, both exact, t
-    is the floor root when p <= x and (t+1)**r > x. The second holds
-    whenever x - p < r*q, since (t+1)**r - t**r >= r*t**(r-1); only when
-    that cheap test fails is (t+1)**r computed. Any other t goes to
-    `_root_from_above` with a start above the root: t itself when p > x,
-    else the smaller of 1 << bits, above the root because the root has at
-    most `bits` bits, and t + d with d = (x - p) // (r*q) + 1, above it by
-    the same binomial bound, since (t+d)**r >= p + d*r*q > x. A wrong
-    guess therefore costs time, never a wrong root.
+    is the floor root when p <= x and (t+1)**r > x, which holds whenever
+    x - p < r*q, since (t+1)**r - t**r >= r*t**(r-1); only when that
+    test fails is (t+1)**r computed. Any other t moves above the root: if
+    p <= x, to the smaller of 1 << bits, as the root has at most `bits`
+    bits, and t + d with d = (x - p) // (r*q) + 1, as (t+d)**r >= p +
+    d*r*q > x. While p = t**r > x, Newton steps to ((r-1)*t + x*t // p)
+    // r, where x*t // p is x // t**(r-1). By AM-GM, (r-1)*t + x/t**(r-1)
+    >= r * x**(1/r), and the floors keep the step at or above the floor
+    root, while p > x makes it drop below t. So the descent stops at the
+    floor root: a wrong guess costs time, never a wrong root.
     """
     if r < 1:
         raise ValueError(f"root degree must be >= 1, got {r}")
@@ -46,12 +50,16 @@ def nth_root_floor(x: int, r: int) -> int:
     t = _root_guess(x, r)
     q = t ** (r - 1)
     p = q * t
-    if p > x:
-        return _root_from_above(x, r, t)
-    if x - p < r * q or (t + 1) ** r > x:
-        return t
-    bits = -(-x.bit_length() // r)
-    return _root_from_above(x, r, min(t + (x - p) // (r * q) + 1, 1 << bits))
+    if p <= x:
+        if x - p < r * q or (t + 1) ** r > x:
+            return t
+        bits = -(-x.bit_length() // r)
+        t = min(t + (x - p) // (r * q) + 1, 1 << bits)
+        p = t ** r
+    while p > x:
+        t = ((r - 1) * t + x * t // p) // r
+        p = t ** r
+    return t
 
 
 def _root_guess(x: int, r: int) -> int:
@@ -113,26 +121,6 @@ def _truncated_power(g: int, k: int, prec: int) -> tuple[int, int]:
         cut = max(g.bit_length() - prec, 0)
         g >>= cut
         base_e += cut
-
-
-def _root_from_above(x: int, r: int, g: int) -> int:
-    """Floor rth root of x >= 1 by Newton's method from a guess g >= 1.
-
-    While p = g**r > x, step to ((r-1)*g + x*g // p) // r, where x*g // p
-    is x // g**(r-1). By AM-GM, (r-1)*g + x/g**(r-1) >= r * x**(1/r), and
-    the floors keep the step at or above the floor root; g**r > x makes it
-    drop below g. So the first g with g**r <= x is the floor root. A guess
-    that starts at or below the root walks up instead.
-    """
-    p = g ** r
-    if p <= x:
-        while (g + 1) ** r <= x:
-            g += 1
-        return g
-    while p > x:
-        g = ((r - 1) * g + x * g // p) // r
-        p = g ** r
-    return g
 
 
 def decimal_text(v: int) -> str:

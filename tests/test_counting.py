@@ -91,7 +91,7 @@ class TestOracle:
         for n in range(1, 10):
             assert count_oracle(n) == PAPER_SMALL[n - 1]
 
-    def test_published_value_ten_with_raised_ceiling(self):
+    def test_published_value_ten_under_the_default_ceiling(self):
         assert count_oracle(10) == 1066
 
     def test_matches_the_per_permutation_scan(self):
@@ -128,13 +128,13 @@ class TestPrunedCounter:
         assert count_oracle(11, ceiling=11) == PAPER_SMALL[10]
         assert count_pruned(11) == PAPER_SMALL[10]
 
-    def test_job_validation(self):
+    def test_both_counters_reject_bad_n(self):
         for counter in (count_dp, count_pruned):
             for n in (0, -3):
                 with pytest.raises(ValueError, match=rf"^n must be >= 1, got {n}$"):
                     counter(n)
 
-    def test_negative_node_budget_is_rejected(self):
+    def test_neither_counter_takes_a_node_budget(self):
         # Neither counter takes a budget any more, whatever its value.
         for counter in (count_dp, count_pruned):
             for budget in (-1, 0, 10 ** 6):

@@ -37,6 +37,12 @@ class TestParseBFile:
         ("-1 1\n", 1),
         ("1 -5\n", 1),
         ("justonetoken\n", 1),
+        # int() takes these; the grammar does not.
+        ("1 1\n4 1_0\n", 2),
+        ("1 1\n5 \u0662\u0660\n", 2),  # Arabic-Indic digits for 20
+        ("+1 1\n", 1),
+        ("1 +1\n", 1),
+        ("1 1\n2 \uff12\n", 2),  # fullwidth 2
     ])
     def test_malformed_lines_carry_line_numbers(self, text, line):
         with pytest.raises(ParseError) as exc:
@@ -189,7 +195,11 @@ class TestSaveLoad:
         "12 computed\n13\n",
         "12 computed\n13 computed extra\n",
         "12 computed\n13 guessed\n",
-    ], ids=["non-integer-n", "one-token", "three-tokens", "unknown-tag"])
+        "12 computed\n+13 computed\n",
+        "12 computed\n1_3 computed\n",
+        "12 computed\n\u0661\u0663 computed\n",
+    ], ids=["non-integer-n", "one-token", "three-tokens", "unknown-tag", "plus-sign",
+            "underscore", "non-ascii-digits"])
     def test_load_names_the_malformed_sidecar_line(self, tmp_path, sidecar):
         path = tmp_path / "cache.txt"
         path.write_text("12 6128\n13 12840\n")

@@ -238,6 +238,8 @@ class TestMonotoneReport:
         r = monotone_report(1, ThetaTable())
         assert r.passed
         assert "t=0->1" in r.detail and "t=2->3" in r.detail
+        # The builtin chain has gaps at 8 -> 16 and 64 -> 128.
+        assert "t=3->4" not in r.detail and "t=6->7" not in r.detail
 
     def test_odd_base_three(self):
         r = monotone_report(3, ThetaTable())

@@ -1,13 +1,14 @@
 import decimal
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apfree import decimal_nth_root, nth_root_floor, roots
-from apfree.roots import (ROUND_FLOOR, ROUND_NEAREST, _root_from_above,
-                          _truncated_power, decimal_text)
+from apfree.roots import (ROUND_FLOOR, ROUND_NEAREST, _truncated_power,
+                          decimal_text)
 from conftest import THETA_64, THETA_75, pow2_newton_root
 
 # The radicands behind the headline certificate limit(1) > limit(75).
@@ -82,48 +83,57 @@ class TestNthRootFloor:
 
 class TestGuessThenCheck:
     """Every guess gets the floor root; the float-seeded guess needs no
-    Newton fallback on the headline roots."""
+    Newton step on the headline roots."""
 
-    CASES = [(10 ** 30, 7), (3 ** 200 - 1, 50), (2 ** 4000 + 12345, 3),
-             (2 * THETA_64 * 10 ** (64 * 11), 64), (21 * THETA_75 * 10 ** (75 * 20), 75),
-             (5 ** 200 + 1, 200)]
+    CASES = [(2, 2), (8, 3), (9, 2), (10200, 2), (10 ** 30, 7), (3 ** 200 - 1, 50),
+             (2 ** 4000 + 12345, 3), (2 * THETA_64 * 10 ** (64 * 11), 64),
+             (21 * THETA_75 * 10 ** (75 * 20), 75), (5 ** 200 + 1, 200)]
 
     @pytest.fixture
-    def fallbacks(self, monkeypatch):
-        calls = []
+    def guesses(self, monkeypatch):
+        # Newton ran iff the returned root differs from the guess: a right
+        # guess is returned as it is, and a wrong one ends at the floor
+        # root, which it is not.
+        calls, guess = [], roots._root_guess
 
-        def counted(x, r, g):
-            calls.append(g)
-            return _root_from_above(x, r, g)
+        def spied(x, r):
+            calls.append(guess(x, r))
+            return calls[-1]
 
-        monkeypatch.setattr(roots, "_root_from_above", counted)
+        monkeypatch.setattr(roots, "_root_guess", spied)
         return calls
 
     @pytest.mark.parametrize("x,r", CASES)
     @pytest.mark.parametrize("wrong", ["floor-3", "floor-1", "floor+1", "floor+5", "1",
-                                       "1<<(bits+2)"])
-    def test_wrong_guesses_fall_back_to_the_floor_root(self, x, r, wrong, monkeypatch,
-                                                       fallbacks):
+                                       "2*floor+3", "4*floor", "1<<(bits+2)"])
+    def test_wrong_guesses_fall_back_to_the_floor_root(self, x, r, wrong, monkeypatch):
         root = pow2_newton_root(x, r)
         bits = -(-x.bit_length() // r)
         guess = {"floor-3": root - 3, "floor-1": root - 1, "floor+1": root + 1,
-                 "floor+5": root + 5, "1": 1, "1<<(bits+2)": 1 << (bits + 2)}[wrong]
-        monkeypatch.setattr(roots, "_root_guess", lambda x, r: guess)
+                 "floor+5": root + 5, "1": 1, "2*floor+3": 2 * root + 3,
+                 "4*floor": 4 * root, "1<<(bits+2)": 1 << (bits + 2)}[wrong]
+        monkeypatch.setattr(roots, "_root_guess", lambda x, r: max(guess, 1))
         assert nth_root_floor(x, r) == root
-        assert len(fallbacks) == 1
-        # Each fallback starts above the root, so it never walks upward.
-        assert fallbacks[0] > root
+
+    @given(st.integers(min_value=1, max_value=10 ** 60),
+           st.integers(min_value=1, max_value=40),
+           st.integers(min_value=-20, max_value=10 ** 6))
+    def test_guess_near_or_far_above(self, x, r, offset):
+        # Function-scoped fixtures do not reset between Hypothesis
+        # examples, so the patch lives in the test body.
+        root = pow2_newton_root(x, r)
+        with mock.patch.object(roots, "_root_guess", lambda x, r: max(root + offset, 1)):
+            assert nth_root_floor(x, r) == root
 
     @pytest.mark.parametrize("x,r", CASES)
-    def test_the_right_guess_is_returned_without_newton(self, x, r, monkeypatch, fallbacks):
+    def test_the_right_guess_is_returned_without_newton(self, x, r, guesses):
         root = pow2_newton_root(x, r)
-        monkeypatch.setattr(roots, "_root_guess", lambda x, r: root)
         assert nth_root_floor(x, r) == root
-        assert fallbacks == []
+        assert guesses == [root]
 
     @pytest.mark.parametrize("t", [1, 2])
     @pytest.mark.parametrize("k", [2, 3, 10])
-    def test_small_roots_of_high_degree_take_the_exact_branch(self, t, k, fallbacks):
+    def test_small_roots_of_high_degree_take_the_exact_branch(self, t, k, guesses):
         # Between t**200 and (t+1)**200 the gap is far more than
         # 200 * t**199, so for x high in it the cheap test fails and
         # (t+1)**200 > x decides.
@@ -131,17 +141,24 @@ class TestGuessThenCheck:
         x = (t + 1) ** r - (t + 1) ** r // k
         assert x - t ** r >= r * t ** (r - 1)
         assert nth_root_floor(x, r) == pow2_newton_root(x, r) == t
-        assert fallbacks == []
+        assert guesses == [t]
 
     @pytest.mark.parametrize("radicand,r", HEADLINE_RADICANDS,
                              ids=["2theta64", "21theta64", "2theta75", "21theta75"])
-    def test_headline_roots_need_no_fallback(self, radicand, r, fallbacks):
+    def test_headline_roots_need_no_fallback(self, radicand, r, guesses, monkeypatch):
         # A count, not a time: the one-power check decides every one of
-        # these 400 roots, so none of them runs a full-size Newton step.
+        # these 400 roots, so each returns its guess with no Newton step.
+        found, floor_root = [], roots.nth_root_floor
+
+        def recorded(x, r):
+            found.append(floor_root(x, r))
+            return found[-1]
+
+        monkeypatch.setattr(roots, "nth_root_floor", recorded)
         for digits in range(1, 201):
             for mode in (ROUND_FLOOR, ROUND_NEAREST):
                 decimal_nth_root(radicand, r, digits, mode)
-        assert fallbacks == []
+        assert len(found) == 400 and found == guesses
 
     @given(st.integers(min_value=1, max_value=2 ** 300),
            st.integers(min_value=1, max_value=80),
@@ -153,29 +170,6 @@ class TestGuessThenCheck:
         # m * 2**e <= g**k, within a factor (1 - 2**(1 - prec))**(2*k).
         assert m << e <= exact
         assert m << (e + 2 * k * (prec - 1)) >= exact * (2 ** (prec - 1) - 1) ** (2 * k)
-
-
-class TestRootFromAbove:
-    """Newton stops at the first g with g**r <= x from any guess."""
-
-    @pytest.mark.parametrize("x,r", [
-        (2, 2), (8, 3), (9, 2), (10200, 2), (10 ** 30, 7), (3 ** 200 - 1, 50),
-        (2 * THETA_64 * 10 ** (64 * 11), 64), (21 * THETA_75 * 10 ** (75 * 20), 75),
-    ])
-    def test_guesses_above_at_and_below_the_root(self, x, r):
-        root = pow2_newton_root(x, r)
-        above = [root + 1, 2 * root + 3, 4 * root]
-        # A guess below the root walks up one step at a time.
-        below = [g for g in (root - 1, root - 5, 1) if 1 <= g and root - g <= 10 ** 4]
-        for g in above + [root] + below:
-            assert _root_from_above(x, r, g) == root, g
-
-    @given(st.integers(min_value=1, max_value=10 ** 60),
-           st.integers(min_value=1, max_value=40),
-           st.integers(min_value=-20, max_value=10 ** 6))
-    def test_guess_near_or_far_above(self, x, r, offset):
-        root = pow2_newton_root(x, r)
-        assert _root_from_above(x, r, max(root + offset, 1)) == root
 
 
 class TestDecimalRoot:
