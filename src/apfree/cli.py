@@ -195,7 +195,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="count 3AP-free permutations of {1..n}")
     p.add_argument("n", type=int)
     p.add_argument("--oracle", action="store_true",
-                   help="use the factorial enumeration oracle instead")
+                   help="use the oracle instead, which decides all n! "
+                        "arrangements by value triples, rejecting a whole block "
+                        "at once when the values placed so far hold a triple "
+                        "already out of order (n <= 10)")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="checked (N >= 1) and otherwise unused: the subset DP "
                         "runs in one process. Kept until the benchmark drops "

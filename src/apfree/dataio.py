@@ -61,9 +61,9 @@ def parse_bfile(source: Source) -> list[BFileEntry]:
     """Parse b-file text into entries, enforcing the grammar.
 
     Raises ParseError with a line number for malformed lines, wrong token
-    counts, non-integers, negative values, or non-ascending n (which also
-    catches duplicates); when the source is a path, the message ends
-    with " in {path}".
+    counts, non-integers, integers too long for int(), negative values,
+    or non-ascending n (which also catches duplicates); when the source
+    is a path, the message ends with " in {path}".
     """
     where = f" in {source}" if isinstance(source, (str, Path)) else ""
     entries: list[BFileEntry] = []
@@ -78,7 +78,12 @@ def parse_bfile(source: Source) -> list[BFileEntry]:
                 f"expected two tokens, got {len(tokens)}: {line!r}{where}", line=lineno)
         if not (_is_integer(tokens[0]) and _is_integer(tokens[1])):
             raise ParseError(f"non-integer token in {line!r}{where}", line=lineno)
-        n, value = int(tokens[0]), int(tokens[1])
+        try:
+            n, value = int(tokens[0]), int(tokens[1])
+        except ValueError:  # past the interpreter's int/str digit limit
+            raise ParseError(
+                f"integer token of {max(map(len, tokens))} characters is too long{where}",
+                line=lineno) from None
         if n < 0:
             raise ParseError(f"negative index n={n}{where}", line=lineno)
         if value < 0:

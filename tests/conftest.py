@@ -26,7 +26,7 @@ THETA_75 = 30235147387260979648843264
 
 # Counts for n = 12..16 produced by the pruned counter, frozen as a
 # regression guard. They are validated from several directions: the
-# counter agrees with the factorial-enumeration oracle for n <= 10 and
+# counter agrees with the value-triple oracle for n <= 10 and
 # with the published list for n <= 11, the values satisfy every doubling,
 # halving, and universal-bound inequality, and (2*theta(16))^(1/16)
 # reproduces the historical growth constant 2.248 printed alongside the

@@ -472,6 +472,16 @@ class TestIngest:
         code, _, err = run_cli(["ingest", str(bad)])
         assert code == 2 and "line 1" in err
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this interpreter has no int/str digit limit")
+    def test_token_past_the_int_digit_limit_is_usage_error(self, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("1 " + "1" * 5000 + "\n")
+        code, out, err = run_cli(["ingest", str(bad)])
+        assert code == 2 and out == ""
+        assert err.startswith("error: line 1: ") and str(bad) in err
+        assert "Exceeds the limit" not in err and "1" * 100 not in err
+
 
 class TestHarness:
     def test_unknown_flag_is_usage_error(self):

@@ -1,4 +1,5 @@
 import io
+import re
 import subprocess
 import sys
 import textwrap
@@ -48,6 +49,19 @@ class TestParseBFile:
         with pytest.raises(ParseError) as exc:
             parse_bfile(io.StringIO(text))
         assert exc.value.line == line
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this interpreter has no int/str digit limit")
+    def test_token_past_the_int_digit_limit_names_line_and_file(self, tmp_path):
+        # int() rejects decimal strings longer than the interpreter
+        # converts by default (4300 digits, from Python 3.11 on).
+        token = "1" * 5000
+        p = tmp_path / "b.txt"
+        p.write_text(f"1 1\n2 {token}\n")
+        with pytest.raises(ParseError, match=rf"^line 2: .* in {re.escape(str(p))}$") as exc:
+            parse_bfile(p)
+        assert exc.value.line == 2
+        assert token not in str(exc.value)
 
 
 class TestIngest:
