@@ -15,13 +15,13 @@ rejects the whole block of arrangements that complete the placed values
 with one test. It is the ground truth for small n. Tests compare the
 three routes, which share no legality code.
 
-The backtracker carries a kill mask per value w: the values 2w - u for
-u in the prefix, each of which placing w next would kill for every later
-position, since w would then sit between u and it. Placing v is legal
-iff its kill mask misses every value still unplaced after it, because a
-killed unplaced value leaves a prefix with no completion; this never
-changes the count. A child adds the bit 2w - v to the mask of each value
-w still unplaced, O(n) work per node.
+The backtracker keeps its kill masks in one integer, a slot of n+1 bits
+per value w with bit 2w - u for each u in the prefix: placing w next
+would put w between u and 2w - u, killing that value for good. Placing v
+is legal iff slot v misses the values unplaced after it, since a killed
+value leaves no completion. A child ORs in spray[v], so the unplaced set
+fixes all below a node, and with ceil(n/2) values left a per-call table
+gives its completions, an empty entry for a dead set.
 
 So every surviving prefix kills no unplaced value, and the number of
 ways to finish a prefix depends only on which values it holds, not
@@ -124,41 +124,41 @@ def count_oracle(n: int, ceiling: int = ORACLE_CEILING_DEFAULT) -> int:
 def free_permutations(n: int) -> Iterator[tuple[int, ...]]:
     """Yield every 3AP-free permutation of {1, ..., n} in lexicographic order.
 
-    `extend` yields the completions of `prefix`, where `unplaced` is the
-    bitmask of values not in it and kill[w] is the bitmask of
-    {2w - u : u in prefix} within 1..n, the values that placing w next
-    would kill for every later position. Placing v is legal iff kill[v]
-    misses the values still unplaced after it. The child's kill[w] gains
-    2w - v for each w still unplaced (`windows[v]` holds the w with
-    2w - v in 1..n), and values are tried from low to high. n is checked
-    before the generator is returned.
+    `level` chains one lazy step per value placed, up to floor(n/2); each
+    prefix is joined to the completions of the rest. n is checked at once.
     """
     _check_count_args(n)
-    windows = [sum(1 << w for w in range(v // 2 + 1, (n + v) // 2 + 1))
-               for v in range(n + 1)]
+    spray = [sum(1 << w * (n + 1) + 2 * w - v for w in range(v // 2 + 1, (n + v) // 2 + 1))
+             for v in range(n + 1)]
+    level = [((), (1 << n + 1) - 2, 0)]
+    for _ in range(n // 2):
+        level = ((prefix + (v,), rest, child) for prefix, unplaced, kill in level
+                 for v, rest, child in _children(unplaced, kill, spray))
+    table = {0: ((),)}
+    return (prefix + s for prefix, unplaced, kill in level
+            for s in _completions(unplaced, kill, spray, table))
 
-    def extend(prefix: tuple[int, ...], unplaced: int,
-               kill: list[int]) -> Iterator[tuple[int, ...]]:
-        if not unplaced & (unplaced - 1):  # the last value kills nothing
-            yield prefix + (unplaced.bit_length() - 1,)
-            return
-        m = unplaced
-        while m:
-            b = m & -m
-            m ^= b
-            v = b.bit_length() - 1
-            rest = unplaced ^ b
-            if kill[v] & rest:
-                continue
-            child = kill.copy()
-            ws = rest & windows[v]
-            while ws:
-                c = ws & -ws
-                ws ^= c
-                child[c.bit_length() - 1] |= c * c >> v  # 1 << (2w - v)
-            yield from extend(prefix + (v,), rest, child)
 
-    return extend((), (1 << (n + 1)) - 2, [0] * (n + 1))
+def _children(unplaced: int, kill: int, spray: list[int]) -> list[tuple[int, int, int]]:
+    """(v, the values unplaced after v, the child's kill) for each legal v, low to high."""
+    stride = len(spray)
+    children = []
+    m = unplaced
+    while m:
+        b = m & -m
+        m ^= b
+        v = b.bit_length() - 1
+        if not kill >> v * stride & (rest := unplaced ^ b):
+            children.append((v, rest, kill | spray[v]))
+    return children
+
+
+def _completions(unplaced: int, kill: int, spray: list[int], table: dict) -> tuple:
+    """The legal orderings of `unplaced`, lexicographic, stored in `table` on first use."""
+    if unplaced not in table:
+        table[unplaced] = tuple((v,) + s for v, rest, child in _children(unplaced, kill, spray)
+                                for s in _completions(rest, child, spray, table))
+    return table[unplaced]
 
 
 def count_pruned(n: int) -> int:

@@ -208,7 +208,11 @@ def _read_provenances(path: Path) -> dict[int, str]:
         tokens = line.split()
         if not (len(tokens) == 2 and _is_integer(tokens[0]) and tokens[1] in PROVENANCES):
             raise ParseError(f"bad provenance line {line!r} in {path}", line=lineno)
-        tags[int(tokens[0])] = tokens[1]
+        try:
+            tags[int(tokens[0])] = tokens[1]
+        except ValueError:  # past the interpreter's int/str digit limit
+            raise ParseError(f"index of {len(tokens[0])} characters is too long in {path}",
+                             line=lineno) from None
     return tags
 
 

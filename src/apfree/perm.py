@@ -116,21 +116,20 @@ def values_3ap_free(values: Sequence[int]) -> bool:
     """3AP test on a raw value sequence, assumed to be a valid permutation.
 
     Walks the values left to right with two bitmasks: `after`, the values
-    not yet seen, and `refl`, with bit n+1-x for each value x already
-    seen. For the value y at the current position, `refl` shifted left by
-    2y-n-1 has bit 2y-x for each seen x, so a 3AP with middle y exists
-    iff that set meets `after`. That is n big-int steps in place of a
-    scan over position pairs.
+    not yet seen, and `refl`, with bit 2n-x for each value x already seen.
+    For the value y at the current position, `refl` shifted right by
+    2(n-y) has bit 2y-x for each seen x with x < 2y, so a 3AP with middle
+    y exists iff that set meets `after`. That is n big-int steps in place
+    of a scan over position pairs.
     """
     n = len(values)
     after = (1 << (n + 1)) - 2
     refl = 0
     for y in values:
         after ^= 1 << y
-        shift = 2 * y - n - 1
-        if (refl << shift if shift >= 0 else refl >> -shift) & after:
+        if refl >> 2 * (n - y) & after:
             return False
-        refl |= 1 << (n + 1 - y)
+        refl |= 1 << 2 * n - y
     return True
 
 

@@ -483,6 +483,20 @@ class TestIngest:
         assert "Exceeds the limit" not in err and "1" * 100 not in err
 
 
+class TestCacheSidecar:
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this interpreter has no int/str digit limit")
+    def test_index_past_the_int_digit_limit_is_usage_error(self, tmp_path):
+        cache = tmp_path / "cache.txt"
+        cache.write_text("1 1\n2 2\n")
+        sidecar = tmp_path / "cache.txt.provenance"
+        sidecar.write_text("1" * 5000 + " computed\n")
+        code, out, err = run_cli(["verify", "--cache", str(cache)])
+        assert code == 2 and out == ""
+        assert err.startswith("error: line 1: ") and str(sidecar) in err
+        assert "Exceeds the limit" not in err and "1" * 100 not in err
+
+
 class TestHarness:
     def test_unknown_flag_is_usage_error(self):
         code, _, _ = run_cli(["count", "6", "--sideways"])

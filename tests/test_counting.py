@@ -1,4 +1,6 @@
+import gc
 import itertools
+import sys
 
 import pytest
 
@@ -81,6 +83,37 @@ def completion_count(n):
         return total
 
     return completions(0)
+
+
+def reference_free_permutations(n):
+    """A backtracker with a list kill[w] per value, updated value by value
+    for each child, and no table of completions: the reference that
+    `free_permutations` must match, order included.
+    """
+    windows = [sum(1 << w for w in range(v // 2 + 1, (n + v) // 2 + 1))
+               for v in range(n + 1)]
+
+    def extend(prefix, unplaced, kill):
+        if not unplaced & (unplaced - 1):  # the last value kills nothing
+            yield prefix + (unplaced.bit_length() - 1,)
+            return
+        m = unplaced
+        while m:
+            b = m & -m
+            m ^= b
+            v = b.bit_length() - 1
+            rest = unplaced ^ b
+            if kill[v] & rest:
+                continue
+            child = kill.copy()
+            ws = rest & windows[v]
+            while ws:
+                c = ws & -ws
+                ws ^= c
+                child[c.bit_length() - 1] |= c * c >> v  # 1 << (2w - v)
+            yield from extend(prefix + (v,), rest, child)
+
+    return extend((), (1 << (n + 1)) - 2, [0] * (n + 1))
 
 
 PAPER_SMALL_AND_MID = dict(enumerate(PAPER_SMALL, start=1)) | COMPUTED_MID
@@ -167,9 +200,15 @@ class TestSubsetDP:
         for n, value in PAPER_SMALL_AND_MID.items():
             assert count_dp(n) == value
 
-    @pytest.mark.slow
     def test_pruned_counter_agrees_at_fourteen_to_sixteen(self):
+        # About 0.5 s in total on one core.
         for n in (14, 15, 16):
+            assert count_pruned(n) == count_dp(n)
+
+    @pytest.mark.slow
+    def test_pruned_counter_agrees_at_seventeen_and_eighteen(self):
+        # About 1.5 s in total on one core; opt in with -m slow.
+        for n in (17, 18):
             assert count_pruned(n) == count_dp(n)
 
     @pytest.mark.slow
@@ -302,6 +341,53 @@ class TestFreePermutations:
     def test_every_output_is_a_valid_free_permutation(self):
         for p in free_permutations(6):
             assert is_3ap_free(validate(p))
+
+    @pytest.mark.parametrize("n", range(9, 14))
+    def test_matches_the_kill_list_walk(self, n):
+        assert list(free_permutations(n)) == list(reference_free_permutations(n))
+
+    def test_generators_of_one_n_share_nothing(self):
+        # Each call owns its table of completions, so interleaving two
+        # walks, or closing a third partway, changes neither's output.
+        expected = list(reference_free_permutations(11))
+        a, b, c = (free_permutations(11) for _ in range(3))
+        head = [next(c) for _ in range(500)]
+        c.close()
+        assert list(zip(a, b)) == list(zip(expected, expected))
+        assert head == expected[:500]
+
+    def test_bad_n_raises_before_iteration(self):
+        with pytest.raises(ValueError, match=r"^n must be >= 1, got 0$"):
+            free_permutations(0)
+
+    def test_table_is_freed_with_its_generator(self):
+        # Only the generator holds the table, and no reference cycle holds
+        # the generator, so dropping it partway frees the table at once,
+        # without a garbage-collection pass.
+        gc.collect()
+        gc.disable()
+        try:
+            walk = free_permutations(13)
+            for _ in range(1000):
+                next(walk)
+            table = walk.gi_frame.f_locals["table"]
+            assert len(table) > 100
+            del walk
+            assert sys.getrefcount(table) == 2  # `table` and the argument
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.slow
+    def test_table_stays_under_a_megabyte_at_eighteen(self):
+        # The returned generator holds the table; it is sized after the
+        # walk has filled it.
+        walk = free_permutations(18)
+        table = walk.gi_frame.f_locals["table"]
+        assert sum(1 for _ in walk) == count_dp(18)
+        size = sys.getsizeof(table) + sum(
+            sys.getsizeof(done) + sum(map(sys.getsizeof, done)) for done in table.values())
+        assert size < 1_000_000
 
 
 class TestThetaLookup:

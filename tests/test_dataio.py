@@ -225,6 +225,20 @@ class TestSaveLoad:
         assert err.startswith("error: line 2: bad provenance line")
         assert "cache.txt.provenance" in err
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this interpreter has no int/str digit limit")
+    def test_sidecar_index_past_the_int_digit_limit_names_line_and_file(self, tmp_path):
+        path = tmp_path / "cache.txt"
+        path.write_text("1 1\n2 2\n")
+        sidecar = dataio.provenance_path(path)
+        token = "1" * 5000
+        sidecar.write_text(f"1 computed\n{token} computed\n")
+        with pytest.raises(ParseError,
+                           match=rf"^line 2: .* in {re.escape(str(sidecar))}$") as exc:
+            load_table(path)
+        assert exc.value.line == 2
+        assert token not in str(exc.value)
+
     @pytest.mark.parametrize("failing_call", [1, 2])
     def test_interrupted_save_never_loads_wrong_tags(self, tmp_path, monkeypatch,
                                                      failing_call):
