@@ -196,9 +196,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--oracle", action="store_true",
                    help="use the oracle instead, which decides all n! "
-                        "arrangements by value triples, rejecting a whole block "
-                        "at once when the values placed so far hold a triple "
-                        "already out of order (n <= 10)")
+                        "arrangements by value triples, inserting each value "
+                        "into the relative order of the smaller ones and "
+                        "dropping every completion of an order with a triple "
+                        "out of order (n <= 10)")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="checked (N >= 1) and otherwise unused: the subset DP "
                         "runs in one process. Kept until the benchmark drops "

@@ -9,9 +9,9 @@ sequence it completes is 3AP-free by construction and none is missed;
 `free_permutations` yields those sequences and `count_pruned` counts
 them. The oracle decides all n! arrangements against the value triples
 x < y < z with x + z = 2y, asking whether y sits between x and z; it
-gives positions to the values in increasing order and tests each triple
-once, when z gets its position, so a triple already out of order
-rejects the whole block of arrangements that complete the placed values
+inserts the values in increasing order into the relative order of those
+before them and tests each triple once, when z is inserted, so a triple
+already out of order rejects every arrangement that completes that order
 with one test. It is the ground truth for small n. Tests compare the
 three routes, which share no legality code.
 
@@ -65,10 +65,11 @@ DP without pruning took 414 s and 472 MB for theta(64).
 from __future__ import annotations
 
 import collections
+from itertools import islice
 from typing import Iterator
 
 from .errors import OracleRangeExceeded
-from .perm import values_3ap_free
+from .perm import _first_3ap_lane
 from .table import PROVENANCE_COMPUTED, ThetaTable
 
 ORACLE_CEILING_DEFAULT = 10
@@ -84,15 +85,15 @@ def count_oracle(n: int, ceiling: int = ORACLE_CEILING_DEFAULT) -> int:
     """Count by deciding all n! arrangements against the value triples.
 
     The independent cross-check for the other two routes: it uses
-    nothing but the definition of a 3AP. It fills a position list q,
-    where q[v] is the position of value v (values and positions both
-    0-based). Inversion is a bijection on S_n, so counting the qualifying
-    q counts the 3AP-free permutations. An arrangement has a 3AP iff, for
-    some value triple x < y < z with x + z = 2y, y sits strictly between
-    x and z, i.e. (q[x] < q[y]) == (q[y] < q[z]). `place` gives value z
-    each free position in turn and tests the triples (z - 2d, z - d, z),
-    whose smaller values are already placed, so a failed triple rejects
-    all (n - z - 1)! arrangements that complete q[0..z] with one test.
+    nothing but the definition of a 3AP. An arrangement has a 3AP iff,
+    for some value triple x < y < z with x + z = 2y, y sits strictly
+    between x and z. `_insert` adds the values 0..n-1 in increasing
+    order, each into one of the slots of the relative order of the
+    values before it, so each arrangement is built once, as its final
+    order. Inserting z tests the triples (z - 2d, z - d, z), whose
+    smaller values are already ordered, so a failed triple rejects every
+    completion of that order with one test, and the oracle visits one
+    node per 3AP-free order of 0..z-1, z <= n.
     Raises OracleRangeExceeded for n above `ceiling` (default 10) to stop
     accidental factorial blowups.
     """
@@ -102,23 +103,25 @@ def count_oracle(n: int, ceiling: int = ORACLE_CEILING_DEFAULT) -> int:
             f"oracle ceiling is {ceiling}, asked for n={n}; "
             f"raise `ceiling` explicitly if you really want this"
         )
-    q = [0] * n
+    return _insert(0, n, ())
 
-    def place(z: int, free: tuple[int, ...]) -> int:
-        if z == n:
-            return 1
-        total = 0
-        for i, p in enumerate(free):
-            for d in range(1, z // 2 + 1):
-                y = q[z - d]
-                if (q[z - 2 * d] < y) == (y < p):
-                    break
-            else:
-                q[z] = p
-                total += place(z + 1, free[:i] + free[i + 1:])
-        return total
 
-    return place(0, tuple(range(n)))
+def _insert(z: int, n: int, order: tuple[int, ...]) -> int:
+    """The 3AP-free orders of 0..n-1 that keep 0..z-1 in `order`, their
+    left-to-right order. q[v] is the rank of v, and slot s puts z after
+    the values ranked below s."""
+    if z == n:
+        return 1
+    q = sorted(range(z), key=order.__getitem__)
+    total = 0
+    for s in range(z + 1):
+        for d in range(1, z // 2 + 1):
+            y = q[z - d]
+            if (q[z - 2 * d] < y) == (y < s):
+                break
+        else:
+            total += _insert(z + 1, n, order[:s] + (z,) + order[s:])
+    return total
 
 
 def free_permutations(n: int) -> Iterator[tuple[int, ...]]:
@@ -171,14 +174,20 @@ def count_verified(n: int) -> int:
     """Diagnostic mode: enumerate accepted sequences and re-test each one.
 
     Confirms that the pruning is sound, i.e. everything the counter
-    accepts is genuinely 3AP-free, with perm's bitset test, which shares
-    no code with the backtracker. Only sensible for small n.
+    accepts is genuinely 3AP-free, with perm's batch test, which shares
+    no code with the backtracker, on 1,024 sequences at a time. Only
+    sensible for small n; past n = 127 a value overflows its byte lane.
     """
+    if n > 127:
+        raise ValueError(f"count_verified needs n <= 127, got {n}")
+    walk = free_permutations(n)
     total = 0
-    for p in free_permutations(n):
-        if not values_3ap_free(p):
-            raise AssertionError(f"counter accepted a sequence with a 3AP: {p}")
-        total += 1
+    while blob := b"".join(map(bytes, islice(walk, 1024))):
+        lane = _first_3ap_lane(blob, n)
+        if lane >= 0:
+            raise AssertionError("counter accepted a sequence with a 3AP: "
+                                 f"{tuple(blob[lane * n:(lane + 1) * n])}")
+        total += len(blob) // n
     return total
 
 

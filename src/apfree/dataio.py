@@ -18,7 +18,6 @@ file supplied by the caller.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, TextIO, Union
 
@@ -96,8 +95,7 @@ def parse_bfile(source: Source) -> list[BFileEntry]:
     return entries
 
 
-@dataclass(frozen=True)
-class IngestResult:
+class IngestResult(NamedTuple):
     """What an ingestion did: entries accepted into the table (added) or
     already present with the same value (matched), and entries outside
     the table's domain (n = 0), which are skipped."""

@@ -20,8 +20,7 @@ shares no code with this package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .roots import (ROUND_FLOOR, ROUND_NEAREST, DecimalRoot, decimal_nth_root,
                     decimal_text)
@@ -40,8 +39,7 @@ def global_theta_bounds(n: int) -> tuple[int, int]:
     return 1 << (n - 1), math.factorial((n + 1) // 2) * math.factorial((n + 2) // 2)
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Outcome of one exact inequality check."""
 
     name: str
@@ -93,8 +91,7 @@ def subsequence_point(m: int, t: int, tbl: ThetaTable,
     return decimal_nth_root(tbl.value(n), n, digits, ROUND_FLOOR)
 
 
-@dataclass(frozen=True)
-class GrowthBound:
+class GrowthBound(NamedTuple):
     """Exact two-sided bracket on the doubling-subsequence limit for index m.
 
     Stored as (radicand, root) pairs: the limit lies between
@@ -122,8 +119,7 @@ def limit_bracket(m: int, t: int, tbl: ThetaTable) -> GrowthBound:
     return GrowthBound(n, LOWER_FACTOR * value, UPPER_FACTOR * value)
 
 
-@dataclass(frozen=True)
-class SeparationCertificate:
+class SeparationCertificate(NamedTuple):
     """Exact proof that one subsequence limit exceeds another.
 
     With the lower bracket (A, a) for m_low and the upper bracket (B, b)

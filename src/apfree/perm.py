@@ -9,7 +9,6 @@ when (n+1-x) + (n+1-z) = 2(n+1-y).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import NotAPermutation
@@ -23,27 +22,48 @@ class APWitness(NamedTuple):
     k: int
 
 
-@dataclass(frozen=True)
 class Permutation:
     """A permutation of {1, ..., n}, stored as the tuple of its values.
 
     Instances are immutable and validated on construction; use ``validate``
-    to build one from untrusted input.
+    to build one from untrusted input. The package defines no dataclass:
+    importing `dataclasses` pulls in `inspect`, about 13 ms and 0.6 MB per
+    process on Python 3.11.
     """
 
     values: tuple[int, ...]
 
-    def __post_init__(self):
-        n = len(self.values)
+    def __init__(self, values: tuple[int, ...]):
+        n = len(values)
         if n == 0:
             raise NotAPermutation("empty sequence")
         seen = [False] * (n + 1)
-        for v in self.values:
-            if not isinstance(v, int) or v < 1 or v > n:
+        for v in values:
+            # Exact type, so bools (True == 1) and other int subclasses,
+            # whose str is no one-line notation, are rejected.
+            if type(v) is not int or v < 1 or v > n:
                 raise NotAPermutation(f"value {v!r} outside 1..{n}")
             if seen[v]:
                 raise NotAPermutation(f"duplicate value {v}")
             seen[v] = True
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.values == other.values
+
+    def __hash__(self) -> int:
+        return hash(self.values)
+
+    def __repr__(self) -> str:
+        return f"Permutation(values={self.values!r})"
 
     @property
     def n(self) -> int:
@@ -131,6 +151,29 @@ def values_3ap_free(values: Sequence[int]) -> bool:
             return False
         refl |= 1 << 2 * n - y
     return True
+
+
+def _first_3ap_lane(blob: bytes, n: int) -> int:
+    """Index of the first sequence in `blob`, n bytes each, with a 3AP, or -1.
+
+    Column j holds value j of every sequence, a byte lane each, so for
+    each position triple the lanes of d are zero where v_i + v_k = 2 v_j,
+    and no lane carries while 2n <= 255. (d - ones) & ~d flags each zero
+    lane, and through the borrow may flag lanes above it but none below,
+    so the lowest flag over all triples marks the first 3AP.
+    """
+    ones = int.from_bytes(b"\x01" * (len(blob) // n), "little")
+    cols = [int.from_bytes(blob[j::n], "little") for j in range(n)]
+    twice = [c << 1 for c in cols]
+    hits = 0
+    for k in range(2, n):
+        for i in range(k - 1):
+            ends = cols[i] + cols[k]
+            for j in range(i + 1, k):
+                d = ends ^ twice[j]
+                hits |= (d - ones) & ~d
+    hits &= ones << 7
+    return (hits & -hits).bit_length() // 8 - 1
 
 
 def find_3ap(p: Permutation) -> Optional[APWitness]:

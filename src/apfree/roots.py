@@ -15,7 +15,7 @@ how long the root takes, never its value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 ROUND_FLOOR = "floor"
 ROUND_NEAREST = "nearest"
@@ -136,8 +136,7 @@ def decimal_text(v: int) -> str:
     return decimal_text(hi) + decimal_text(lo).zfill(k)
 
 
-@dataclass(frozen=True)
-class DecimalRoot:
+class DecimalRoot(NamedTuple):
     """A decimal approximation of radicand**(1/degree) to `digits` places.
 
     `scaled` is the integer approximation of the root times 10**digits,

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import re
 import sys
 
 import pytest
@@ -134,10 +135,27 @@ class TestOracle:
             assert count_oracle(n) == sum(
                 values_3ap_free(p) for p in itertools.permutations(range(1, n + 1)))
 
+    def test_matches_subset_dp_at_eleven_to_fourteen(self):
+        # About 0.6 s in total on one core.
+        for n in range(11, 15):
+            assert count_oracle(n, ceiling=n) == count_dp(n)
+
     @pytest.mark.slow
-    def test_matches_subset_dp_at_twelve(self):
-        # About 1 s on one core; opt in with -m slow.
-        assert count_oracle(12, ceiling=12) == count_dp(12)
+    def test_matches_subset_dp_at_fifteen_and_sixteen(self):
+        # About 2 to 3 s in total on one core; opt in with -m slow.
+        for n in (15, 16):
+            assert count_oracle(n, ceiling=n) == count_dp(n)
+
+    def test_leaves_no_reference_cycle(self):
+        # The recursion is a module-level function, not a closure that
+        # calls itself, so a call leaves nothing for the collector.
+        gc.collect()
+        gc.disable()
+        try:
+            assert count_oracle(8) == PAPER_SMALL[7]
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_ceiling(self):
         with pytest.raises(OracleRangeExceeded):
@@ -161,7 +179,7 @@ class TestPrunedCounter:
             assert count_pruned(n) == COMPUTED_MID[n]
 
     def test_oracle_equivalence_at_eleven(self):
-        # The oracle decides all 11! arrangements in about 0.3 s on one core.
+        # The oracle decides all 11! arrangements in about 0.03 s on one core.
         assert count_oracle(11, ceiling=11) == PAPER_SMALL[10]
         assert count_pruned(11) == PAPER_SMALL[10]
 
@@ -188,6 +206,28 @@ def test_all_routes_agree(n):
     assert count_pruned(n) == expected
     assert count_verified(n) == expected
     assert count_oracle(n) == expected
+
+
+class TestVerifiedBacktracker:
+    def test_names_a_sequence_with_a_3ap(self, monkeypatch):
+        # A 3AP sequence slipped into the middle of the second batch of
+        # 1,024 is the one the error names.
+        real = counting.free_permutations
+        bad = tuple(range(1, 13))
+
+        def slipped(n):
+            walk = real(n)
+            yield from itertools.islice(walk, 1500)
+            yield bad
+            yield from walk
+
+        monkeypatch.setattr(counting, "free_permutations", slipped)
+        with pytest.raises(AssertionError, match=rf"a 3AP: {re.escape(str(bad))}$"):
+            count_verified(12)
+
+    def test_rejects_n_past_the_byte_lanes(self):
+        with pytest.raises(ValueError, match=r"^count_verified needs n <= 127, got 128$"):
+            count_verified(128)
 
 
 class TestSubsetDP:

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from apfree import (ThetaTable, ValueUnavailable, certificate_text,
@@ -144,7 +142,7 @@ class TestLimitBracket:
     def test_bound_holds_only_root_and_radicands(self):
         # The point's m and t are not kept: only the exact pair matters.
         b = limit_bracket(1, 6, ThetaTable())
-        assert dataclasses.astuple(b) == (64, 2 * THETA_64, 21 * THETA_64)
+        assert tuple(b) == (64, 2 * THETA_64, 21 * THETA_64)
         assert limit_bracket(4, 4, ThetaTable()) == b
 
 

@@ -9,6 +9,7 @@ from apfree import (APWitness, NotAPermutation, Permutation, complement,
                     double, double_odd, find_3ap, format_oneline, is_3ap_free,
                     parse_oneline, reverse, validate)
 from apfree.doubling import ORDERS
+from apfree.perm import _first_3ap_lane, values_3ap_free
 from conftest import brute_all_witnesses, brute_find_3ap, middle_value_3ap_free
 
 
@@ -44,6 +45,12 @@ class TestValidate:
     def test_non_integer(self):
         with pytest.raises(NotAPermutation):
             validate((1.5, 1))
+
+    def test_bools_are_not_values(self):
+        # True == 1, but "True,2" is not one-line notation.
+        for values in ((True, 2), (2, True), (False, 1)):
+            with pytest.raises(NotAPermutation):
+                validate(values)
 
 
 class TestOneline:
@@ -194,3 +201,46 @@ def test_permutation_is_hashable_and_immutable():
     assert hash(p) == hash(validate((2, 1, 3)))
     with pytest.raises(AttributeError):
         p.values = (1, 2, 3)
+
+
+def near_misses(p, rng, count):
+    """`count` sequences, each p or p with two values swapped."""
+    out = []
+    for _ in range(count):
+        vals = list(p.values)
+        if len(vals) > 1 and rng.random() < 0.5:
+            i, j = rng.sample(range(len(vals)), 2)
+            vals[i], vals[j] = vals[j], vals[i]
+        out.append(tuple(vals))
+    return out
+
+
+class TestBatchTest:
+    """`_first_3ap_lane` decides a packed batch, one byte lane per sequence."""
+
+    @staticmethod
+    def first_rejected(batch):
+        return next((i for i, vals in enumerate(batch) if not values_3ap_free(vals)), -1)
+
+    @pytest.mark.parametrize("n", [*range(1, 15), 127])
+    def test_finds_the_first_sequence_with_a_3ap(self, n):
+        # n = 127 puts sums of 254 in a lane, the most a byte holds; its
+        # 333,375 position triples make one batch take about 0.1 s.
+        rng = random.Random(f"batch:{n}")
+        for _ in range(20 if n < 127 else 1):
+            batch = [vals for _ in range(rng.randint(1, 8))
+                     for vals in near_misses(doubled_free(n, rng), rng, rng.randint(1, 40))]
+            if rng.random() < 0.3:
+                batch = [vals for vals in batch if values_3ap_free(vals)] or batch
+            blob = b"".join(map(bytes, batch))
+            assert _first_3ap_lane(blob, n) == self.first_rejected(batch)
+
+    def test_borrow_into_the_next_lane_is_ignored(self):
+        # Lane 3 holds a 3AP at positions (2, 3, 4); lane 4, free, has
+        # d = 1 there, so the borrow from lane 3 flags lane 4 too.
+        bad, good = (1, 2, 3, 4, 5), (1, 5, 3, 2, 4)
+        assert (good[1] + good[3]) ^ (2 * good[2]) == 1
+        assert values_3ap_free(good)
+        batch = [good] * 3 + [bad, good] + [good] * 2
+        assert _first_3ap_lane(b"".join(map(bytes, batch)), 5) == 3
+        assert _first_3ap_lane(bytes(good) * 6, 5) == -1
