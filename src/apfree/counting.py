@@ -15,13 +15,17 @@ already out of order rejects every arrangement that completes that order
 with one test. It is the ground truth for small n. Tests compare the
 three routes, which share no legality code.
 
-The backtracker keeps its kill masks in one integer, a slot of n+1 bits
+The backtracker keeps its kill masks in one integer, a slot of n+2 bits
 per value w with bit 2w - u for each u in the prefix: placing w next
 would put w between u and 2w - u, killing that value for good. Placing v
 is legal iff slot v misses the values unplaced after it, since a killed
-value leaves no completion. A child ORs in spray[v], so the unplaced set
-fixes all below a node, and with ceil(n/2) values left a per-call table
-gives its completions, an empty entry for a dead set.
+value leaves no completion. Bit n+1 of each slot is a guard, so after
+masking every slot with the unplaced set, one subtraction borrows the
+guard away from exactly the slots that kill nothing, and one multiply
+gathers those clean guards into the set of legal values. A child ORs in
+spray[v], so the unplaced set fixes all below a node, and with ceil(n/2)
+values left a per-call table gives its completions, an empty entry for
+a dead set.
 
 So every surviving prefix kills no unplaced value, and the number of
 ways to finish a prefix depends only on which values it holds, not
@@ -58,8 +62,8 @@ R(P) = {n+1-u : u in P} have the same f, and one is dead iff the other
 is. Each level keeps one key per mirror pair, the smaller bitmask.
 
 On one core of a 2-vCPU Intel Xeon with Python 3.11.7, theta(64) takes
-0.4 s at 16 MB peak RSS and theta(75) 0.7 s at 16 MB; the full-depth
-DP without pruning took 414 s and 472 MB for theta(64).
+about 0.25 s at 15 MB peak RSS and theta(75) about 0.45 s at 15 MB; the
+full-depth DP without pruning took 414 s and 472 MB for theta(64).
 """
 
 from __future__ import annotations
@@ -131,36 +135,62 @@ def free_permutations(n: int) -> Iterator[tuple[int, ...]]:
     prefix is joined to the completions of the rest. n is checked at once.
     """
     _check_count_args(n)
-    spray = [sum(1 << w * (n + 1) + 2 * w - v for w in range(v // 2 + 1, (n + v) // 2 + 1))
-             for v in range(n + 1)]
+    masks = _kill_masks(n)
     level = [((), (1 << n + 1) - 2, 0)]
     for _ in range(n // 2):
         level = ((prefix + (v,), rest, child) for prefix, unplaced, kill in level
-                 for v, rest, child in _children(unplaced, kill, spray))
+                 for v, rest, child in _children(unplaced, kill, masks))
     table = {0: ((),)}
     return (prefix + s for prefix, unplaced, kill in level
-            for s in _completions(unplaced, kill, spray, table))
+            for s in _completions(unplaced, kill, masks, table))
 
 
-def _children(unplaced: int, kill: int, spray: list[int]) -> list[tuple[int, int, int]]:
-    """(v, the values unplaced after v, the child's kill) for each legal v, low to high."""
-    stride = len(spray)
+def _kill_masks(n: int) -> tuple[list[int], int, int, int, int]:
+    """(spray, rep, guard, gather, top) for kill slots of n+2 bits.
+
+    spray[v] has bit 2w - v in slot w for each w that placing v makes a
+    middle; rep has bit 0 of every slot, guard bit n+1; gather has bit
+    j * (n+1) for j = 0..n; top = (n+1)**2 is the bit where `_children`
+    collects slot 0's guard.
+    """
+    stride = n + 2
+    spray = [sum(1 << w * stride + 2 * w - v for w in range(v // 2 + 1, (n + v) // 2 + 1))
+             for v in range(n + 1)]
+    rep = sum(1 << w * stride for w in range(n + 1))
+    gather = sum(1 << j * (n + 1) for j in range(n + 1))
+    return spray, rep, rep << n + 1, gather, (n + 1) ** 2
+
+
+def _children(unplaced: int, kill: int, masks: tuple) -> list[tuple[int, int, int]]:
+    """(v, the values unplaced after v, the child's kill) for each legal v, low to high.
+
+    `x` is `kill` with every slot masked by `unplaced`. Setting the guard
+    and subtracting 1 in every slot borrows the guard away exactly from the
+    empty slots, and no borrow leaves its slot, so `clean` keeps the guard
+    bit of each slot w that kills nothing, at w * (n+2) + n+1. Times
+    `gather`, the term for j = n - w puts it at (n+1)**2 + w; all partial
+    products land on distinct bits, so nothing carries. Slot v is tested
+    against `unplaced`, not `unplaced` less v: bit v of slot v would need
+    2v - u = v for some placed u, so u = v, which is unplaced.
+    """
+    spray, rep, guard, gather, top = masks
+    x = kill & unplaced * rep
+    clean = guard & ~((x | guard) - rep)
+    legal = (clean * gather >> top) & unplaced
     children = []
-    m = unplaced
-    while m:
-        b = m & -m
-        m ^= b
+    while legal:
+        b = legal & -legal
+        legal ^= b
         v = b.bit_length() - 1
-        if not kill >> v * stride & (rest := unplaced ^ b):
-            children.append((v, rest, kill | spray[v]))
+        children.append((v, unplaced ^ b, kill | spray[v]))
     return children
 
 
-def _completions(unplaced: int, kill: int, spray: list[int], table: dict) -> tuple:
+def _completions(unplaced: int, kill: int, masks: tuple, table: dict) -> tuple:
     """The legal orderings of `unplaced`, lexicographic, stored in `table` on first use."""
     if unplaced not in table:
-        table[unplaced] = tuple((v,) + s for v, rest, child in _children(unplaced, kill, spray)
-                                for s in _completions(rest, child, spray, table))
+        table[unplaced] = tuple((v,) + s for v, rest, child in _children(unplaced, kill, masks)
+                                for s in _completions(rest, child, masks, table))
     return table[unplaced]
 
 
@@ -176,10 +206,11 @@ def count_verified(n: int) -> int:
     Confirms that the pruning is sound, i.e. everything the counter
     accepts is genuinely 3AP-free, with perm's batch test, which shares
     no code with the backtracker, on 1,024 sequences at a time. Only
-    sensible for small n; past n = 127 a value overflows its byte lane.
+    sensible for small n; past n = 63 a sum 2 v_j reaches bit 7 of its
+    byte lane, which the batch test reads as its flag.
     """
-    if n > 127:
-        raise ValueError(f"count_verified needs n <= 127, got {n}")
+    if n > 63:
+        raise ValueError(f"count_verified needs n <= 63, got {n}")
     walk = free_permutations(n)
     total = 0
     while blob := b"".join(map(bytes, islice(walk, 1024))):

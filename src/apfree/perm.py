@@ -157,10 +157,13 @@ def _first_3ap_lane(blob: bytes, n: int) -> int:
     """Index of the first sequence in `blob`, n bytes each, with a 3AP, or -1.
 
     Column j holds value j of every sequence, a byte lane each, so for
-    each position triple the lanes of d are zero where v_i + v_k = 2 v_j,
-    and no lane carries while 2n <= 255. (d - ones) & ~d flags each zero
-    lane, and through the borrow may flag lanes above it but none below,
-    so the lowest flag over all triples marks the first 3AP.
+    each position triple the lanes of d = (v_i + v_k) ^ 2 v_j are zero
+    where v_i + v_k = 2 v_j, and every lane stays below 0x80 while
+    2n < 128. So d - ones sets bit 7 of each zero lane, and through the
+    borrow may set it in lanes above one but in none below, so the lowest
+    flag over all triples marks the first 3AP. A borrow out of the top
+    lane leaves the difference negative, which `& ones << 7` still masks
+    right, as ints act as infinite two's complement.
     """
     ones = int.from_bytes(b"\x01" * (len(blob) // n), "little")
     cols = [int.from_bytes(blob[j::n], "little") for j in range(n)]
@@ -170,8 +173,7 @@ def _first_3ap_lane(blob: bytes, n: int) -> int:
         for i in range(k - 1):
             ends = cols[i] + cols[k]
             for j in range(i + 1, k):
-                d = ends ^ twice[j]
-                hits |= (d - ones) & ~d
+                hits |= (ends ^ twice[j]) - ones
     hits &= ones << 7
     return (hits & -hits).bit_length() // 8 - 1
 

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import random
 import re
 import sys
 
@@ -9,7 +10,7 @@ from apfree import (ConflictError, OracleRangeExceeded, ThetaTable,
                     ValueUnavailable, count_dp, count_oracle, count_pruned,
                     count_verified, counting, free_permutations, is_3ap_free,
                     theta, validate)
-from apfree.counting import _dp_levels
+from apfree.counting import _children, _dp_levels, _kill_masks
 from apfree.perm import values_3ap_free
 from apfree.table import (PROVENANCE_BUILTIN, PROVENANCE_COMPUTED,
                           PROVENANCE_INGESTED)
@@ -115,6 +116,13 @@ def reference_free_permutations(n):
             yield from extend(prefix + (v,), rest, child)
 
     return extend((), (1 << (n + 1)) - 2, [0] * (n + 1))
+
+
+def reference_children(n, unplaced, kill, spray):
+    """`_children` by its definition: v is legal iff slot v of `kill`, n+2
+    bits wide, misses the values left after v."""
+    return [(v, unplaced ^ 1 << v, kill | spray[v]) for v in range(1, n + 1)
+            if unplaced >> v & 1 and not kill >> v * (n + 2) & (unplaced ^ 1 << v)]
 
 
 PAPER_SMALL_AND_MID = dict(enumerate(PAPER_SMALL, start=1)) | COMPUTED_MID
@@ -225,9 +233,14 @@ class TestVerifiedBacktracker:
         with pytest.raises(AssertionError, match=rf"a 3AP: {re.escape(str(bad))}$"):
             count_verified(12)
 
+    def test_agrees_with_subset_dp_at_ten_to_thirteen(self):
+        # The sizes the benchmark re-tests; about 0.05 s in total on one core.
+        for n in range(10, 14):
+            assert count_verified(n) == count_dp(n)
+
     def test_rejects_n_past_the_byte_lanes(self):
-        with pytest.raises(ValueError, match=r"^count_verified needs n <= 127, got 128$"):
-            count_verified(128)
+        with pytest.raises(ValueError, match=r"^count_verified needs n <= 63, got 64$"):
+            count_verified(64)
 
 
 class TestSubsetDP:
@@ -259,12 +272,12 @@ class TestSubsetDP:
 
     @pytest.mark.slow
     def test_recomputes_builtin_theta_64(self):
-        # About 0.4 s and 16 MB peak RSS on one core; opt in with -m slow.
+        # About 0.25 s and 15 MB peak RSS on one core; opt in with -m slow.
         assert count_dp(64) == THETA_64
 
     @pytest.mark.slow
     def test_recomputes_builtin_theta_75(self):
-        # About 0.7 s and 16 MB peak RSS on one core; opt in with -m slow.
+        # About 0.45 s and 15 MB peak RSS on one core; opt in with -m slow.
         assert count_dp(75) == THETA_75
 
 
@@ -381,6 +394,31 @@ class TestFreePermutations:
     def test_every_output_is_a_valid_free_permutation(self):
         for p in free_permutations(6):
             assert is_3ap_free(validate(p))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_children_at_every_node_of_the_walk(self, n):
+        masks = _kill_masks(n)
+        stack = [((1 << n + 1) - 2, 0)]
+        while stack:
+            unplaced, kill = stack.pop()
+            children = _children(unplaced, kill, masks)
+            assert children == reference_children(n, unplaced, kill, masks[0])
+            stack += [(rest, child) for _, rest, child in children]
+
+    def test_children_at_random_nodes_up_to_sixty_three(self):
+        # At n = 63 the gather multiply spans about 64**2 bits; a carry
+        # between its partial products would flip a legal value.
+        rng = random.Random("children")
+        for n in range(13, 64):
+            masks = _kill_masks(n)
+            for _ in range(10):
+                unplaced, kill = (1 << n + 1) - 2, 0
+                while unplaced:
+                    children = _children(unplaced, kill, masks)
+                    assert children == reference_children(n, unplaced, kill, masks[0])
+                    if not children:
+                        break
+                    _, unplaced, kill = rng.choice(children)
 
     @pytest.mark.parametrize("n", range(9, 14))
     def test_matches_the_kill_list_walk(self, n):

@@ -222,12 +222,12 @@ class TestBatchTest:
     def first_rejected(batch):
         return next((i for i, vals in enumerate(batch) if not values_3ap_free(vals)), -1)
 
-    @pytest.mark.parametrize("n", [*range(1, 15), 127])
+    @pytest.mark.parametrize("n", [*range(1, 15), 63])
     def test_finds_the_first_sequence_with_a_3ap(self, n):
-        # n = 127 puts sums of 254 in a lane, the most a byte holds; its
-        # 333,375 position triples make one batch take about 0.1 s.
+        # n = 63 puts sums of 126 in a lane, the most that keeps a lane
+        # below 0x80.
         rng = random.Random(f"batch:{n}")
-        for _ in range(20 if n < 127 else 1):
+        for _ in range(20 if n < 63 else 1):
             batch = [vals for _ in range(rng.randint(1, 8))
                      for vals in near_misses(doubled_free(n, rng), rng, rng.randint(1, 40))]
             if rng.random() < 0.3:
@@ -244,3 +244,14 @@ class TestBatchTest:
         batch = [good] * 3 + [bad, good] + [good] * 2
         assert _first_3ap_lane(b"".join(map(bytes, batch)), 5) == 3
         assert _first_3ap_lane(bytes(good) * 6, 5) == -1
+
+    def test_a_3ap_in_the_last_lane_of_a_full_batch(self):
+        # Only lane 1,023 holds a 3AP, at positions (1, 2, 3), so its
+        # borrow leaves the top lane and d - ones is negative there.
+        bad, good = (1, 2, 3, 4, 5), (1, 5, 3, 2, 4)
+        blob = bytes(good) * 1023 + bytes(bad)
+        ones = int.from_bytes(b"\x01" * 1024, "little")
+        c1, c2, c3 = (int.from_bytes(blob[j::5], "little") for j in range(3))
+        assert ((c1 + c3) ^ (c2 << 1)) - ones < 0
+        assert _first_3ap_lane(blob, 5) == 1023
+        assert _first_3ap_lane(bytes(good) * 1024, 5) == -1
