@@ -23,9 +23,13 @@ value leaves no completion. Bit n+1 of each slot is a guard, so after
 masking every slot with the unplaced set, one subtraction borrows the
 guard away from exactly the slots that kill nothing, and one multiply
 gathers those clean guards into the set of legal values. A child ORs in
-spray[v], so the unplaced set fixes all below a node, and with ceil(n/2)
-values left a per-call table gives its completions, an empty entry for
-a dead set.
+spray[v], so the kill is fixed by the unplaced set, and so is all below
+a node. The walk therefore expands each set once, not each ordering,
+for floor(n/2) steps. A per-call table gives the completions of a set,
+an empty entry for a dead one; by the reversal below, the orderings of
+a live half's placed set X are the completions of X placed after the
+rest, read backwards, from the same table. Each such prefix is joined
+to the completions of the rest.
 
 So every surviving prefix kills no unplaced value, and the number of
 ways to finish a prefix depends only on which values it holds, not
@@ -131,18 +135,44 @@ def _insert(z: int, n: int, order: tuple[int, ...]) -> int:
 def free_permutations(n: int) -> Iterator[tuple[int, ...]]:
     """Yield every 3AP-free permutation of {1, ..., n} in lexicographic order.
 
-    `level` chains one lazy step per value placed, up to floor(n/2); each
-    prefix is joined to the completions of the rest. n is checked at once.
+    The first half is computed at the call, n check included. Each step
+    maps the unplaced sets it reaches to their kill, so a set is expanded
+    once however many orderings reach it. After floor(n/2) steps a set U
+    with no completion is dropped. For each other U, the prefixes are the
+    completions x of the placed set X after U, reversed (module
+    docstring), from the same table. `pairs` keeps each x as the table's
+    tuple, unreversed, so at even n, where X is also a live rest, prefixes
+    and completions share tuples. It is sorted by x reversed, and `_join`
+    yields the permutations from it.
     """
     _check_count_args(n)
     masks = _kill_masks(n)
-    level = [((), (1 << n + 1) - 2, 0)]
+    spray = masks[0]
+    full = (1 << n + 1) - 2
+    level = {full: 0}
     for _ in range(n // 2):
-        level = ((prefix + (v,), rest, child) for prefix, unplaced, kill in level
-                 for v, rest, child in _children(unplaced, kill, masks))
+        level = {rest: child for unplaced, kill in level.items()
+                 for _, rest, child in _children(unplaced, kill, masks)}
     table = {0: ((),)}
-    return (prefix + s for prefix, unplaced, kill in level
-            for s in _completions(unplaced, kill, masks, table))
+    pairs = []
+    for unplaced, kill in level.items():
+        tails = _completions(unplaced, kill, masks, table)
+        if tails:
+            back = 0
+            for u in range(1, n + 1):
+                if unplaced >> u & 1:
+                    back |= spray[u]
+            pairs += ((x, tails) for x in _completions(full ^ unplaced, back, masks, table))
+    pairs.sort(key=lambda pair: pair[0][::-1])
+    return _join(pairs)
+
+
+def _join(pairs: list) -> Iterator[tuple[int, ...]]:
+    """Yield x reversed + tail for each (x, tails) pair and each tail, in order."""
+    for x, tails in pairs:
+        prefix = x[::-1]
+        for s in tails:
+            yield prefix + s
 
 
 def _kill_masks(n: int) -> tuple[list[int], int, int, int, int]:

@@ -1,3 +1,4 @@
+import collections
 import gc
 import itertools
 import random
@@ -10,7 +11,7 @@ from apfree import (ConflictError, OracleRangeExceeded, ThetaTable,
                     ValueUnavailable, count_dp, count_oracle, count_pruned,
                     count_verified, counting, free_permutations, is_3ap_free,
                     theta, validate)
-from apfree.counting import _children, _dp_levels, _kill_masks
+from apfree.counting import _children, _completions, _dp_levels, _kill_masks
 from apfree.perm import values_3ap_free
 from apfree.table import (PROVENANCE_BUILTIN, PROVENANCE_COMPUTED,
                           PROVENANCE_INGESTED)
@@ -87,17 +88,19 @@ def completion_count(n):
     return completions(0)
 
 
-def reference_free_permutations(n):
+def reference_free_permutations(n, depth=None):
     """A backtracker with a list kill[w] per value, updated value by value
     for each child, and no table of completions: the reference that
-    `free_permutations` must match, order included.
+    `free_permutations` must match, order included. With `depth`, it
+    yields every legal prefix of that length instead, dead ones included.
     """
+    depth = n if depth is None else depth
     windows = [sum(1 << w for w in range(v // 2 + 1, (n + v) // 2 + 1))
                for v in range(n + 1)]
 
     def extend(prefix, unplaced, kill):
-        if not unplaced & (unplaced - 1):  # the last value kills nothing
-            yield prefix + (unplaced.bit_length() - 1,)
+        if len(prefix) == depth:
+            yield prefix
             return
         m = unplaced
         while m:
@@ -420,9 +423,28 @@ class TestFreePermutations:
                         break
                     _, unplaced, kill = rng.choice(children)
 
-    @pytest.mark.parametrize("n", range(9, 14))
+    @pytest.mark.parametrize("n", [*range(9, 15), *(pytest.param(n, marks=pytest.mark.slow)
+                                                     for n in (15, 16))])
     def test_matches_the_kill_list_walk(self, n):
         assert list(free_permutations(n)) == list(reference_free_permutations(n))
+
+    @pytest.mark.parametrize("n", range(1, 14))
+    def test_prefixes_are_the_reversed_completions_of_their_set(self, n):
+        # The walk reads the prefixes with placed set X as the completions
+        # of X after the rest, reversed; the reference builds every legal
+        # prefix of length floor(n/2), dead or not, step by step.
+        masks = _kill_masks(n)
+        by_set = collections.defaultdict(list)
+        for prefix in reference_free_permutations(n, n // 2):
+            by_set[sum(1 << v for v in prefix)].append(prefix)
+        table = {0: ((),)}
+        for placed, prefixes in by_set.items():
+            back = 0
+            for u in range(1, n + 1):
+                if not placed >> u & 1:
+                    back |= masks[0][u]
+            done = _completions(placed, back, masks, table)
+            assert sorted(s[::-1] for s in done) == sorted(prefixes)
 
     def test_generators_of_one_n_share_nothing(self):
         # Each call owns its table of completions, so interleaving two
@@ -438,33 +460,37 @@ class TestFreePermutations:
         with pytest.raises(ValueError, match=r"^n must be >= 1, got 0$"):
             free_permutations(0)
 
-    def test_table_is_freed_with_its_generator(self):
-        # Only the generator holds the table, and no reference cycle holds
-        # the generator, so dropping it partway frees the table at once,
-        # without a garbage-collection pass.
+    def test_pairs_are_freed_with_their_generator(self):
+        # Only the generator holds its sorted (prefix, completions) pairs,
+        # and no reference cycle holds the generator, so dropping it
+        # partway frees them at once, without a garbage-collection pass.
         gc.collect()
         gc.disable()
         try:
             walk = free_permutations(13)
             for _ in range(1000):
                 next(walk)
-            table = walk.gi_frame.f_locals["table"]
-            assert len(table) > 100
+            pairs = walk.gi_frame.f_locals["pairs"]
+            assert len(pairs) > 100
             del walk
-            assert sys.getrefcount(table) == 2  # `table` and the argument
+            assert sys.getrefcount(pairs) == 2  # `pairs` and the argument
             assert gc.collect() == 0
         finally:
             gc.enable()
 
     @pytest.mark.slow
-    def test_table_stays_under_a_megabyte_at_eighteen(self):
-        # The returned generator holds the table; it is sized after the
-        # walk has filled it.
+    def test_pairs_stay_under_a_megabyte_at_eighteen(self):
+        # The returned generator holds the pairs, which share their
+        # orderings with each other; each tuple is counted once.
         walk = free_permutations(18)
-        table = walk.gi_frame.f_locals["table"]
+        pairs = walk.gi_frame.f_locals["pairs"]
+        held = {}
+        for x, tails in pairs:
+            held[id(x)], held[id(tails)] = x, tails
+            held.update((id(s), s) for s in tails)
+        size = sys.getsizeof(pairs) + sum(map(sys.getsizeof, pairs)) + sum(
+            map(sys.getsizeof, held.values()))
         assert sum(1 for _ in walk) == count_dp(18)
-        size = sys.getsizeof(table) + sum(
-            sys.getsizeof(done) + sum(map(sys.getsizeof, done)) for done in table.values())
         assert size < 1_000_000
 
 
