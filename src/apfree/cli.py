@@ -40,8 +40,6 @@ def _parse_mt(text: str) -> tuple[int, int]:
         m, t = int(m_str), int(t_str)
     except ValueError:
         raise ApfreeError(f"expected 'm,t' with integers, got {text!r}") from None
-    if m < 1 or t < 0:
-        raise ApfreeError(f"need m >= 1 and t >= 0, got m={m}, t={t}")
     return m, t
 
 

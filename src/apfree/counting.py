@@ -25,11 +25,12 @@ guard away from exactly the slots that kill nothing, and one multiply
 gathers those clean guards into the set of legal values. A child ORs in
 spray[v], so the kill is fixed by the unplaced set, and so is all below
 a node. The walk therefore expands each set once, not each ordering,
-for floor(n/2) steps. A per-call table gives the completions of a set,
-an empty entry for a dead one; by the reversal below, the orderings of
-a live half's placed set X are the completions of X placed after the
-rest, read backwards, from the same table. Each such prefix is joined
-to the completions of the rest.
+for ceil(n/2) steps, and meets as the DP does. By the reversal below, a
+rest U left at depth floor(n/2) has a completion iff its placed set X
+is left at depth ceil(n/2), where the walk holds X's kill, that of U
+placed first. The orderings of X are then the completions of X after
+U, read backwards. A per-call table gives both halves, and each such
+prefix is joined to the completions of U; no dead half is completed.
 
 So every surviving prefix kills no unplaced value, and the number of
 ways to finish a prefix depends only on which values it holds, not
@@ -137,32 +138,31 @@ def free_permutations(n: int) -> Iterator[tuple[int, ...]]:
 
     The first half is computed at the call, n check included. Each step
     maps the unplaced sets it reaches to their kill, so a set is expanded
-    once however many orderings reach it. After floor(n/2) steps a set U
-    with no completion is dropped. For each other U, the prefixes are the
-    completions x of the placed set X after U, reversed (module
-    docstring), from the same table. `pairs` keeps each x as the table's
+    once however many orderings reach it. The walk runs ceil(n/2) steps
+    and meets as `count_dp` does: a rest U of depth floor(n/2) is live
+    iff its placed set X is in `tops`, the level of depth ceil(n/2), and
+    `tops[X]` is the kill of U placed first. For each live U, the prefixes
+    are the completions x of X after U, reversed (module docstring), from
+    the same table as U's completions. `pairs` keeps each x as the table's
     tuple, unreversed, so at even n, where X is also a live rest, prefixes
     and completions share tuples. It is sorted by x reversed, and `_join`
     yields the permutations from it.
     """
     _check_count_args(n)
     masks = _kill_masks(n)
-    spray = masks[0]
     full = (1 << n + 1) - 2
-    level = {full: 0}
-    for _ in range(n // 2):
-        level = {rest: child for unplaced, kill in level.items()
-                 for _, rest, child in _children(unplaced, kill, masks)}
+    levels = [{full: 0}]
+    for _ in range((n + 1) // 2):
+        levels.append({rest: child for unplaced, kill in levels[-1].items()
+                       for _, rest, child in _children(unplaced, kill, masks)})
+    rests, tops = levels[n // 2], levels[-1]
     table = {0: ((),)}
     pairs = []
-    for unplaced, kill in level.items():
-        tails = _completions(unplaced, kill, masks, table)
-        if tails:
-            back = 0
-            for u in range(1, n + 1):
-                if unplaced >> u & 1:
-                    back |= spray[u]
-            pairs += ((x, tails) for x in _completions(full ^ unplaced, back, masks, table))
+    for rest, kill in rests.items():
+        placed = full ^ rest
+        if placed in tops:
+            tails = _completions(rest, kill, masks, table)
+            pairs += ((x, tails) for x in _completions(placed, tops[placed], masks, table))
     pairs.sort(key=lambda pair: pair[0][::-1])
     return _join(pairs)
 

@@ -6,7 +6,8 @@ Three formats, all plain UTF-8 text with LF line endings:
     ascending, '#' comment lines allowed. This is the OEIS b-file
     convention, and the persistent count cache deliberately uses the
     same grammar so caches and published data files interchange.
-  * provenance sidecar: "<cache>.provenance", lines "n tag".
+  * provenance sidecar: "<cache>.provenance", lines "n tag", n
+    strictly ascending.
   * figure data: lines "n root", where root is theta(n)^(1/n) rounded
     to a fixed number of decimal places, loadable by any two-column
     space-separated plot reader.
@@ -207,10 +208,14 @@ def _read_provenances(path: Path) -> dict[int, str]:
         if not (len(tokens) == 2 and _is_integer(tokens[0]) and tokens[1] in PROVENANCES):
             raise ParseError(f"bad provenance line {line!r} in {path}", line=lineno)
         try:
-            tags[int(tokens[0])] = tokens[1]
+            n = int(tokens[0])
         except ValueError:  # past the interpreter's int/str digit limit
             raise ParseError(f"index of {len(tokens[0])} characters is too long in {path}",
                              line=lineno) from None
+        if tags and n <= next(reversed(tags)):
+            raise ParseError(f"bad provenance line {line!r}, n not strictly ascending, in {path}",
+                             line=lineno)
+        tags[n] = tokens[1]
     return tags
 
 
@@ -219,11 +224,11 @@ def load_table(path: Union[str, Path], tbl: Optional[ThetaTable] = None) -> Thet
 
     Entries get their sidecar provenance when the sidecar exists, and
     "ingested" otherwise. A failing load leaves the table untouched: a
-    sidecar tag for an n the cache lacks, or a value outside the
-    universal bounds for its n, raises ParseError before the table is
-    touched, and the entries then go through `ThetaTable.merge`, so a
-    value conflicting with one already in the table raises ConflictError
-    and adds nothing.
+    sidecar tag for an n the cache lacks or not above the tag before it,
+    or a value outside the universal bounds for its n, raises ParseError
+    before the table is touched, and the entries then go through
+    `ThetaTable.merge`, so a value conflicting with one already in the
+    table raises ConflictError and adds nothing.
 
     When "<cache>.lock" exists, the load holds a shared lock on it, so it
     waits for a `save_table` that is between its two renames. The lock

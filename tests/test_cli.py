@@ -333,6 +333,13 @@ class TestSeparate:
         code, _, _ = run_cli(["separate", "--low", "1;6"])
         assert code == 2
 
+    @pytest.mark.parametrize("side, mt", [("--low", "0,1"), ("--high", "3,-1")])
+    def test_out_of_range_mt_is_a_usage_error(self, side, mt):
+        code, out, err = run_cli(["separate", side, mt])
+        m, t = mt.split(",")
+        assert (code, out) == (2, "")
+        assert err == f"error: need m >= 1 and t >= 0, got m={m}, t={t}\n"
+
     def test_standalone_checker_accepts_default_certificate(self, tmp_path):
         cert = tmp_path / "cert.txt"
         assert run_cli(["separate", "--out", str(cert)])[0] == 0

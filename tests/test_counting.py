@@ -24,9 +24,10 @@ def reflect(placed, n):
     return int(format(placed, f"0{n + 2}b")[::-1], 2)
 
 
-def reference_levels(n):
+def reference_levels(n, depth=None):
     """The unpruned subset DP: level k = {P: legal orderings of P} over
-    every k-set P that some legal ordering reaches, k = 0..n.
+    every k-set P that some legal ordering reaches, k = 0..depth (n by
+    default).
 
     P is a bitmask with bit v set for each placed value v. Its reflection
     R (bit n+1-u for each u in P) shifted left by 2v-n-1 is the set
@@ -37,7 +38,7 @@ def reference_levels(n):
     offset = n + 3  # shift = 2v - n - 1, where b = 1 << v has bit_length v + 1
     level = {0: 1}
     levels = [level]
-    for _ in range(n):
+    for _ in range(n if depth is None else depth):
         nxt = {}
         for placed, paths in level.items():
             refl = reflect(placed, n)
@@ -299,6 +300,18 @@ class TestCompletionCount:
         # n = 36; opt in with -m slow.
         assert completion_count(n) == count_dp(n)
 
+    @pytest.mark.slow
+    def test_unpruned_meet_agrees_with_subset_dp_at_forty(self):
+        # The DP's meet on levels that no split test has pruned: f(P) times
+        # f([n] minus P) over level floor(n/2), each complement looked up in
+        # level ceil(n/2). About 9 s and 80 MB peak RSS on one core; opt in
+        # with -m slow.
+        n = 40
+        ref = reference_levels(n, (n + 1) // 2)
+        full = (1 << (n + 1)) - 2
+        assert sum(paths * ref[-1].get(full ^ placed, 0)
+                   for placed, paths in ref[n // 2].items()) == count_dp(n)
+
 
 class TestSubsetDPSoundness:
     """The meet-in-the-middle DP with dead states dropped, against the
@@ -445,6 +458,21 @@ class TestFreePermutations:
                     back |= masks[0][u]
             done = _completions(placed, back, masks, table)
             assert sorted(s[::-1] for s in done) == sorted(prefixes)
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_live_rests_are_those_whose_set_reaches_depth_ceil_half(self, n):
+        # The walk keeps a placed set X of size floor(n/2) iff [n] minus X
+        # is placed by some legal prefix of length ceil(n/2); checked here
+        # on the kill-list walk alone.
+        full = (1 << (n + 1)) - 2
+
+        def placed_sets(prefixes, k):
+            return {sum(1 << v for v in p[:k]) for p in prefixes}
+
+        live = placed_sets(reference_free_permutations(n), n // 2)
+        rests = placed_sets(reference_free_permutations(n, n // 2), n // 2)
+        tops = placed_sets(reference_free_permutations(n, (n + 1) // 2), (n + 1) // 2)
+        assert live == {placed for placed in rests if full ^ placed in tops}
 
     def test_generators_of_one_n_share_nothing(self):
         # Each call owns its table of completions, so interleaving two

@@ -212,8 +212,10 @@ class TestSaveLoad:
         "12 computed\n+13 computed\n",
         "12 computed\n1_3 computed\n",
         "12 computed\n\u0661\u0663 computed\n",
+        "12 computed\n12 ingested\n",
+        "13 computed\n12 computed\n",
     ], ids=["non-integer-n", "one-token", "three-tokens", "unknown-tag", "plus-sign",
-            "underscore", "non-ascii-digits"])
+            "underscore", "non-ascii-digits", "repeated-n", "descending-n"])
     def test_load_names_the_malformed_sidecar_line(self, tmp_path, sidecar):
         path = tmp_path / "cache.txt"
         path.write_text("12 6128\n13 12840\n")
