@@ -2,14 +2,23 @@
 
 Every decimal printed by this package comes from integer arithmetic: the
 scaled approximation of R^(1/r) is an integer nth root, and its quality is
-certified by comparing integer powers, never by floating point. The integer
-root is a guess, one exact check, then one descent from above. A float
-seeds the guess, which climbs a ladder of precisions that roughly doubles
-at each level, with one Newton step per level on a power truncated to that
-level's precision. One exact t**(r-1) and the binomial bound (t+1)**r -
-t**r >= r*t**(r-1) check the guess t; a guess that fails starts a Newton
-descent from above that stops at the floor root, so the guess sets only
-how long the root takes, never its value.
+certified by comparing integers, never by floating point. A root is a
+guess, one certificate, then one descent from above. A float seeds the
+guess, which climbs a ladder of precisions that roughly doubles at each
+level, with one Newton step per level on a power truncated to that level's
+precision. The guess t is the floor root of x when t**r <= x < t**r +
+r*t**(r-1), since (t+1)**r - t**r >= r*t**(r-1).
+
+That two-sided test runs at one of two precisions. A radicand of at most
+`_EXACT_BITS` bits takes the exact path: t**(r-1) and t**r are computed in
+full. A longer one first brackets t**(r-1) between m * 2**e and hi * 2**e
+at about t's own precision. From degree `_BRACKET_DEGREE` up,
+`decimal_nth_root` brackets its radicand R * 5**(r*d) * 2**(r*(d+1)) the
+same way, by bracketing 5**(r*d), without building it. When the brackets
+decide the test, t is returned; when they cannot, the exact path runs. A
+guess that fails the exact test starts a Newton descent from above that
+stops at the floor root, so the guess sets only how long the root takes,
+never its value.
 """
 
 from __future__ import annotations
@@ -24,22 +33,38 @@ ROUND_NEAREST = "nearest"
 # well within what a double's 53-bit mantissa gets right.
 _SEED_BITS = 40
 
+# Radicands longer than this are certified from brackets at about the
+# root's precision; shorter ones take the exact path, whose full powers
+# cost no more there (the two meet at 6,000 to 8,000 bits for degrees 8
+# to 512).
+_EXACT_BITS = 8192
+
+# decimal_nth_root brackets its radicand only from this degree up. Below
+# it the root holds more than an eighth of the radicand's bits, and
+# bracketing 5**(r*d) at the root's precision costs about as much as
+# building it (even at degrees 5 to 7, up to 15% more below them).
+_BRACKET_DEGREE = 8
+
 
 def nth_root_floor(x: int, r: int) -> int:
-    """Largest integer t with t**r <= x: a guess, one exact check, then a
-    Newton descent from above if the check fails.
+    """Largest integer t with t**r <= x: a guess, one certificate, then a
+    Newton descent from above if the certificate fails.
 
-    `_root_guess` gives t. With q = t**(r-1) and p = q*t, both exact, t
-    is the floor root when p <= x and (t+1)**r > x, which holds whenever
-    x - p < r*q, since (t+1)**r - t**r >= r*t**(r-1); only when that
-    test fails is (t+1)**r computed. Any other t moves above the root: if
-    p <= x, to the smaller of 1 << bits, as the root has at most `bits`
-    bits, and t + d with d = (x - p) // (r*q) + 1, as (t+d)**r >= p +
-    d*r*q > x. While p = t**r > x, Newton steps to ((r-1)*t + x*t // p)
-    // r, where x*t // p is x // t**(r-1). By AM-GM, (r-1)*t + x/t**(r-1)
-    >= r * x**(1/r), and the floors keep the step at or above the floor
-    root, while p > x makes it drop below t. So the descent stops at the
-    floor root: a wrong guess costs time, never a wrong root.
+    `_root_guess` gives t, the floor root whenever t**r <= x < t**r +
+    r*t**(r-1), since (t+1)**r - t**r >= r*t**(r-1). When x has more than
+    `_EXACT_BITS` bits, `_certifies_floor_root` first tries that test with
+    t**(r-1) bracketed at about t's precision; t is returned when the
+    bracket decides it. Otherwise, and for every shorter x, the exact path
+    computes q = t**(r-1) and p = q*t in full: t is the floor root when p
+    <= x and x - p < r*q, and only when that test fails is (t+1)**r
+    computed. Any other t moves above the root: if p <= x, to the smaller
+    of 1 << bits, as the root has at most `bits` bits, and t + d with d =
+    (x - p) // (r*q) + 1, as (t+d)**r >= p + d*r*q > x. While p = t**r >
+    x, Newton steps to ((r-1)*t + x*t // p) // r, where x*t // p is x //
+    t**(r-1). By AM-GM, (r-1)*t + x/t**(r-1) >= r * x**(1/r), and the
+    floors keep the step at or above the floor root, while p > x makes it
+    drop below t. So the descent stops at the floor root: a wrong guess
+    costs time, never a wrong root.
     """
     if r < 1:
         raise ValueError(f"root degree must be >= 1, got {r}")
@@ -48,6 +73,8 @@ def nth_root_floor(x: int, r: int) -> int:
     if r == 1 or x in (0, 1):
         return x
     t = _root_guess(x, r)
+    if x.bit_length() > _EXACT_BITS and _certifies_floor_root(t, r, x, x, 0):
+        return t
     q = t ** (r - 1)
     p = q * t
     if p <= x:
@@ -60,6 +87,26 @@ def nth_root_floor(x: int, r: int) -> int:
         t = ((r - 1) * t + x * t // p) // r
         p = t ** r
     return t
+
+
+def _certifies_floor_root(t: int, r: int, lo: int, hi: int, s: int) -> bool:
+    """True only if t is the floor rth root of every x with lo * 2**s <= x
+    <= hi * 2**s, decided from t**(r-1) bracketed at about t's precision.
+
+    With m * 2**e <= t**(r-1) <= top * 2**e from `_power_bracket`, the
+    test is top*t <= (lo * 2**s) >> e and (hi * 2**s) >> e < (t+r)*m. The
+    first gives t**r <= top * 2**e * t <= lo * 2**s <= x; the second gives
+    x <= hi * 2**s < (t+r) * m * 2**e <= t**r + r*t**(r-1) <= (t+1)**r.
+    False says only that the bracket could not decide.
+    """
+    m, top, e = _power_bracket(t, r - 1, t.bit_length() + 2 * r.bit_length() + 32)
+    p = m * t  # top*t and (t+r)*m are p plus a short product each
+    return p + (top - m) * t <= _shifted(lo, s - e) and _shifted(hi, s - e) - p < r * m
+
+
+def _shifted(v: int, n: int) -> int:
+    """floor(v * 2**n) for v >= 0 and any integer n."""
+    return v << n if n >= 0 else v >> -n
 
 
 def _root_guess(x: int, r: int) -> int:
@@ -92,7 +139,7 @@ def _root_guess(x: int, r: int) -> int:
         b = level
         m, e = _truncated_power(g, r - 1, b + guard)
         shift = r * (b - bits) - e  # X // (m * 2**e) is (x << shift) // m
-        g = ((r - 1) * g + (x << shift if shift >= 0 else x >> -shift) // m) // r
+        g = ((r - 1) * g + _shifted(x, shift) // m) // r
     return max(g >> guard, 1)
 
 
@@ -103,7 +150,9 @@ def _truncated_power(g: int, k: int, prec: int) -> tuple[int, int]:
     Each cut loses less than a factor 1 - 2**(1 - prec). A cut in the
     product is not raised again, and one in the jth square reaches the
     result raised to at most k / 2**j, so m * 2**e is within a factor
-    (1 - 2**(1 - prec))**(2*k) of g**k.
+    (1 - 2**(1 - prec))**(2*k) of g**k: the lower side of the bracket
+    `_power_bracket` closes from above. Every cut adds to e, as the last
+    square is always multiplied into m, so e = 0 exactly when m = g**k.
     """
     m, e, base_e = 1, 0, 0
     while True:
@@ -121,6 +170,19 @@ def _truncated_power(g: int, k: int, prec: int) -> tuple[int, int]:
         cut = max(g.bit_length() - prec, 0)
         g >>= cut
         base_e += cut
+
+
+def _power_bracket(g: int, k: int, prec: int) -> tuple[int, int, int]:
+    """(m, hi, e) with m * 2**e <= g**k <= hi * 2**e, for prec >=
+    k.bit_length() + 3; `prec` bounds the bits of m as in `_truncated_power`.
+
+    (m, e) is `_truncated_power(g, k, prec)`, and hi = m when e = 0, as then
+    m = g**k. Otherwise, with y = 4*k / 2**prec <= 1/2, Bernoulli's
+    inequality gives g**k <= m * 2**e / (1 - y) <= m * 2**e * (1 + 2*y),
+    and hi = m + (8*k*m >> prec) + 1 exceeds m * (1 + 2*y).
+    """
+    m, e = _truncated_power(g, k, prec)
+    return m, (m + (8 * k * m >> prec) + 1 if e else m), e
 
 
 def decimal_text(v: int) -> str:
@@ -190,10 +252,14 @@ def decimal_nth_root(radicand: int, degree: int, digits: int,
 
     Both modes halve t = floor(2*root): t is odd exactly when the root's
     fraction is at least 1/2, so t >> 1 truncates and (t + 1) >> 1 rounds
-    half up. The radicand of t, 2**r * radicand * 10**(r*digits), is built
-    as radicand * 5**(r*digits) shifted left by r*(digits + 1) bits: the
-    power of 5 is about 30% shorter than the power of 10, and costs about
-    half as much to compute.
+    half up. t is the floor rth root of 2**r * radicand * 10**(r*digits),
+    which is radicand * 5**(r*digits) shifted left by r*(digits + 1) bits.
+    When that radicand would have more than `_EXACT_BITS` bits and r is at
+    least `_BRACKET_DEGREE`, it is not built: 5**(r*digits) is bracketed
+    at about the root's precision, the guess is taken from the bracket's
+    lower end, and `_certifies_floor_root` tests it against both ends.
+    Only when that bracket cannot decide, and for every shorter radicand,
+    is the exact radicand built and passed to `nth_root_floor`.
     """
     if degree < 1:
         raise ValueError(f"root degree must be >= 1, got {degree}")
@@ -203,6 +269,20 @@ def decimal_nth_root(radicand: int, degree: int, digits: int,
         raise ValueError(f"digits must be >= 1, got {digits}")
     if mode not in (ROUND_FLOOR, ROUND_NEAREST):
         raise ValueError(f"unknown rounding mode {mode!r}")
-    twice = nth_root_floor((radicand * 5 ** (degree * digits)) << (degree * (digits + 1)), degree)
+    twice = _doubled_root(radicand, degree, digits)
     scaled = (twice + (mode == ROUND_NEAREST)) >> 1
     return DecimalRoot(radicand, degree, digits, scaled, mode)
+
+
+def _doubled_root(radicand: int, r: int, digits: int) -> int:
+    """floor(2 * radicand**(1/r) * 10**digits), the floor rth root of
+    radicand * 5**n * 2**shift with n = r*digits and shift = r*(digits+1)."""
+    n, shift = r * digits, r * (digits + 1)
+    # 5**n has about n * log2(5) < n * 7/3 bits.
+    bits = radicand.bit_length() + shift + n * 7 // 3
+    if r >= _BRACKET_DEGREE and radicand and bits > _EXACT_BITS:
+        lo, hi, e = _power_bracket(5, n, bits // r + 2 * n.bit_length() + 40)
+        t = _root_guess((radicand * lo) << (e + shift), r)
+        if _certifies_floor_root(t, r, radicand * lo, radicand * hi, e + shift):
+            return t
+    return nth_root_floor((radicand * 5 ** n) << shift, r)

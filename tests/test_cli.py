@@ -1,3 +1,4 @@
+import hashlib
 import runpy
 import subprocess
 import sys
@@ -325,6 +326,22 @@ class TestSeparate:
         fields = dict(line.split(": ", 1) for line in out.splitlines()[1:])
         assert fields["lower_decimal"].startswith("2.27953231299")
         assert len(fields["lower_decimal"]) == len(fields["upper_decimal"]) == 4402
+        code, verdict = run_checker(cert)
+        assert code == 0
+        assert verdict.startswith("SOUND") and "separated" in verdict
+        # The checker accepts either neighbour of a root within one ulp,
+        # so the exact bytes pin the rounding.
+        assert hashlib.sha256(cert.read_bytes()).hexdigest() == (
+            "6d70cae42b50092495302f29f750c672c02a2cbf87cf95d6efcd567ecced4ee2")
+
+    def test_certificate_at_2000_digits(self, tmp_path):
+        # Both roots are past roots._EXACT_BITS, so they come from the
+        # bracketed path; the digest pins their bytes to the exact path's.
+        cert = tmp_path / "cert.txt"
+        code, out, err = run_cli(["separate", "--digits", "2000", "--out", str(cert)])
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(cert.read_bytes()).hexdigest() == (
+            "49785dc5de9ec18d190a0621f8b0bfe269a7f441ab2315134a60df55255e8144")
         code, verdict = run_checker(cert)
         assert code == 0
         assert verdict.startswith("SOUND") and "separated" in verdict

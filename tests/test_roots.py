@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apfree import decimal_nth_root, nth_root_floor, roots
-from apfree.roots import (ROUND_FLOOR, ROUND_NEAREST, _truncated_power,
+from apfree.roots import (_BRACKET_DEGREE, _EXACT_BITS, ROUND_FLOOR, ROUND_NEAREST,
+                          _certifies_floor_root, _power_bracket, _truncated_power,
                           decimal_text)
 from conftest import THETA_64, THETA_75, pow2_newton_root
 
@@ -87,7 +88,10 @@ class TestGuessThenCheck:
 
     CASES = [(2, 2), (8, 3), (9, 2), (10200, 2), (10 ** 30, 7), (3 ** 200 - 1, 50),
              (2 ** 4000 + 12345, 3), (2 * THETA_64 * 10 ** (64 * 11), 64),
-             (21 * THETA_75 * 10 ** (75 * 20), 75), (5 ** 200 + 1, 200)]
+             (21 * THETA_75 * 10 ** (75 * 20), 75), (5 ** 200 + 1, 200),
+             # Past _EXACT_BITS: the bracket rejects a wrong guess first.
+             pytest.param(21 * THETA_75 * 10 ** (75 * 200), 75, id="21theta75-200digits"),
+             pytest.param(2 ** 9000 + 12345, 3, id="2^9000+12345-3")]
 
     @pytest.fixture
     def guesses(self, monkeypatch):
@@ -146,19 +150,71 @@ class TestGuessThenCheck:
     @pytest.mark.parametrize("radicand,r", HEADLINE_RADICANDS,
                              ids=["2theta64", "21theta64", "2theta75", "21theta75"])
     def test_headline_roots_need_no_fallback(self, radicand, r, guesses, monkeypatch):
-        # A count, not a time: the one-power check decides every one of
-        # these 400 roots, so each returns its guess with no Newton step.
-        found, floor_root = [], roots.nth_root_floor
+        # A count, not a time: each of these 400 roots takes one guess and
+        # returns it with no Newton step, and none whose radicand is past
+        # _EXACT_BITS builds that radicand for nth_root_floor.
+        doubled, exact, inner = [], [], roots._doubled_root
+        floor_root = roots.nth_root_floor
 
-        def recorded(x, r):
-            found.append(floor_root(x, r))
-            return found[-1]
+        def recorded(radicand, r, digits):
+            doubled.append(inner(radicand, r, digits))
+            return doubled[-1]
 
-        monkeypatch.setattr(roots, "nth_root_floor", recorded)
+        def recorded_exact(x, r):
+            exact.append(x.bit_length())
+            return floor_root(x, r)
+
+        monkeypatch.setattr(roots, "_doubled_root", recorded)
+        monkeypatch.setattr(roots, "nth_root_floor", recorded_exact)
         for digits in range(1, 201):
             for mode in (ROUND_FLOOR, ROUND_NEAREST):
                 decimal_nth_root(radicand, r, digits, mode)
-        assert len(found) == 400 and found == guesses
+        assert len(doubled) == 400 and doubled == guesses
+        assert 0 < len(exact) < 100 and max(exact) <= _EXACT_BITS
+
+    @given(st.integers(min_value=1, max_value=2 ** 300),
+           st.integers(min_value=0, max_value=80),
+           st.integers(min_value=0, max_value=120))
+    def test_power_bracket_holds_and_is_exact_without_cuts(self, g, k, extra):
+        prec = k.bit_length() + 3 + extra
+        m, hi, e = _power_bracket(g, k, prec)
+        assert (m, e) == _truncated_power(g, k, prec)
+        assert m << e <= g ** k <= hi << e
+        assert (hi == m) == (e == 0)
+        assert e or m == g ** k
+
+    @settings(deadline=None)
+    @given(st.integers(min_value=2, max_value=600),
+           st.integers(min_value=1, max_value=40000),
+           st.integers(min_value=-3, max_value=3),
+           st.integers(min_value=0, max_value=2 ** 64),
+           st.integers(min_value=-200, max_value=200))
+    def test_certificate_is_sound(self, r, bits, offset, width, s):
+        # A True certificate for [lo * 2**s, hi * 2**s] makes t the floor
+        # root of both ends.
+        lo = random.Random(bits * 1000 + r).getrandbits(bits) | 1
+        hi = lo + width
+        ends = [v << s if s >= 0 else v >> -s for v in (lo, hi)]
+        t = max(nth_root_floor(ends[0], r) + offset, 1)
+        if _certifies_floor_root(t, r, lo, hi, s):
+            assert all(t ** r <= v < (t + 1) ** r for v in ends)
+
+    @pytest.mark.parametrize("x,r", [(7 ** 3500 + 1, 3), (3 ** 20000 - 1, 64),
+                                     (21 * THETA_75 * 10 ** (75 * 200), 75)],
+                             ids=["7^3500+1-3", "3^20000-1-64", "21theta75-200digits"])
+    def test_certificate_accepts_the_floor_root_past_the_crossover(self, x, r):
+        assert x.bit_length() > _EXACT_BITS
+        root = pow2_newton_root(x, r)
+        assert _certifies_floor_root(root, r, x, x, 0)
+        assert not _certifies_floor_root(root + 1, r, x, x, 0)
+        assert not _certifies_floor_root(root - 1, r, x, x, 0)
+
+    def test_certificate_leaves_a_near_exact_power_undecided(self, guesses):
+        # x - t**r = 12345 is far below the bracket's width, so the bracket
+        # cannot show t**r <= x; the exact path decides with the same guess.
+        x, t = 2 ** 9000 + 12345, 2 ** 3000
+        assert not _certifies_floor_root(t, 3, x, x, 0)
+        assert nth_root_floor(x, 3) == t and guesses == [t]
 
     @given(st.integers(min_value=1, max_value=2 ** 300),
            st.integers(min_value=1, max_value=80),
@@ -238,6 +294,15 @@ class TestDecimalRoot:
         root = decimal_nth_root(radicand, degree, digits, mode)
         assert root.scaled == midpoint_rounded(radicand, degree, digits)[mode]
 
+    @pytest.mark.parametrize("mode", [ROUND_FLOOR, ROUND_NEAREST])
+    @pytest.mark.parametrize("digits", [6, 11, 50, 200])
+    @pytest.mark.parametrize("degree", [128, 160, 256, 300, 512])
+    def test_brackets_hold_at_high_degree(self, degree, digits, mode):
+        # A count of realistic size, about 2.3**n, as theta(n) would be.
+        root = decimal_nth_root(23 ** degree // 10 ** degree, degree, digits, mode)
+        assert root.bracket_holds()
+        assert root.ulp_bracket_holds()
+
     @given(st.integers(min_value=1, max_value=10 ** 30),
            st.integers(min_value=1, max_value=40))
     def test_modes_differ_by_at_most_one_ulp(self, radicand, degree):
@@ -262,7 +327,7 @@ class TestSeededSweep:
     @pytest.mark.parametrize("radicand,r", HEADLINE_RADICANDS,
                              ids=["2theta64", "21theta64", "2theta75", "21theta75"])
     def test_headline_roots_at_every_digit_count_to_400(self, radicand, r):
-        # 3 to 5 s each on one core; opt in with -m slow. The old formula's
+        # About 1 s each on one core; opt in with -m slow. The old formula's
         # floor root comes from nth_root_floor here, checked by its exact
         # bracket: pow2_newton_root would take minutes.
         for digits in range(1, 401):
@@ -270,3 +335,16 @@ class TestSeededSweep:
             for mode in (ROUND_FLOOR, ROUND_NEAREST):
                 root = decimal_nth_root(radicand, r, digits, mode)
                 assert root.scaled == expected[mode], (digits, mode)
+
+    def test_decimal_roots_to_degree_512_and_2000_digits(self):
+        # About 13 s on one core; opt in with -m slow. Degrees and digit
+        # counts on both sides of _BRACKET_DEGREE and _EXACT_BITS, each
+        # checked by exact powers.
+        rng = random.Random(512)
+        cases = [(512, 2000), (_BRACKET_DEGREE, 2000), (_BRACKET_DEGREE - 1, 2000)]
+        cases += [(rng.randint(2, 512), rng.randint(1, 2000)) for _ in range(40)]
+        for r, digits in cases:
+            radicand = rng.getrandbits(rng.randint(1, 2 * r)) + 1
+            for mode in (ROUND_FLOOR, ROUND_NEAREST):
+                root = decimal_nth_root(radicand, r, digits, mode)
+                assert root.bracket_holds(), (radicand, r, digits, mode)
