@@ -9,16 +9,17 @@ level, with one Newton step per level on a power truncated to that level's
 precision. The guess t is the floor root of x when t**r <= x < t**r +
 r*t**(r-1), since (t+1)**r - t**r >= r*t**(r-1).
 
-That two-sided test runs at one of two precisions. A radicand of at most
-`_EXACT_BITS` bits takes the exact path: t**(r-1) and t**r are computed in
-full. A longer one first brackets t**(r-1) between m * 2**e and hi * 2**e
-at about t's own precision. From degree `_BRACKET_DEGREE` up,
-`decimal_nth_root` brackets its radicand R * 5**(r*d) * 2**(r*(d+1)) the
-same way, by bracketing 5**(r*d), without building it. When the brackets
-decide the test, t is returned; when they cannot, the exact path runs. A
-guess that fails the exact test starts a Newton descent from above that
-stops at the floor root, so the guess sets only how long the root takes,
-never its value.
+`nth_root_floor` runs that test exactly: t**(r-1) and t**r are computed
+in full. `decimal_nth_root` roots 2**r * R * 10**(r*d), which is R * 5**(r*d)
+shifted left by r*(d+1) bits. From degree `_BRACKET_DEGREE` up, when that
+radicand would have more than `_EXACT_BITS` bits, it is not built:
+5**(r*d) and t**(r-1) are bracketed between m * 2**e and hi * 2**e at
+about t's own precision, and t is returned when the brackets decide the
+test for both ends of the radicand's bracket. When they cannot, and for
+every shorter radicand or lower degree, the radicand is built and
+`nth_root_floor` decides. A guess that fails its exact test starts a
+Newton descent from above that stops at the floor root, so the guess sets
+only how long the root takes, never its value.
 """
 
 from __future__ import annotations
@@ -33,10 +34,10 @@ ROUND_NEAREST = "nearest"
 # well within what a double's 53-bit mantissa gets right.
 _SEED_BITS = 40
 
-# Radicands longer than this are certified from brackets at about the
-# root's precision; shorter ones take the exact path, whose full powers
-# cost no more there (the two meet at 6,000 to 8,000 bits for degrees 8
-# to 512).
+# decimal_nth_root certifies a radicand longer than this from brackets at
+# about the root's precision; a shorter one is built and rooted exactly,
+# which costs no more there (the two meet at 6,000 to 8,000 bits for
+# degrees 8 to 512).
 _EXACT_BITS = 8192
 
 # decimal_nth_root brackets its radicand only from this degree up. Below
@@ -47,24 +48,20 @@ _BRACKET_DEGREE = 8
 
 
 def nth_root_floor(x: int, r: int) -> int:
-    """Largest integer t with t**r <= x: a guess, one certificate, then a
-    Newton descent from above if the certificate fails.
+    """Largest integer t with t**r <= x: a guess, one exact check, then a
+    Newton descent from above if the check fails.
 
-    `_root_guess` gives t, the floor root whenever t**r <= x < t**r +
-    r*t**(r-1), since (t+1)**r - t**r >= r*t**(r-1). When x has more than
-    `_EXACT_BITS` bits, `_certifies_floor_root` first tries that test with
-    t**(r-1) bracketed at about t's precision; t is returned when the
-    bracket decides it. Otherwise, and for every shorter x, the exact path
-    computes q = t**(r-1) and p = q*t in full: t is the floor root when p
-    <= x and x - p < r*q, and only when that test fails is (t+1)**r
-    computed. Any other t moves above the root: if p <= x, to the smaller
-    of 1 << bits, as the root has at most `bits` bits, and t + d with d =
-    (x - p) // (r*q) + 1, as (t+d)**r >= p + d*r*q > x. While p = t**r >
-    x, Newton steps to ((r-1)*t + x*t // p) // r, where x*t // p is x //
-    t**(r-1). By AM-GM, (r-1)*t + x/t**(r-1) >= r * x**(1/r), and the
-    floors keep the step at or above the floor root, while p > x makes it
-    drop below t. So the descent stops at the floor root: a wrong guess
-    costs time, never a wrong root.
+    `_root_guess` gives t. With q = t**(r-1) and p = q*t, both exact, t
+    is the floor root when p <= x and (t+1)**r > x, which holds whenever
+    x - p < r*q, since (t+1)**r - t**r >= r*t**(r-1); only when that
+    test fails is (t+1)**r computed. Any other t moves above the root: if
+    p <= x, to the smaller of 1 << bits, as the root has at most `bits`
+    bits, and t + d with d = (x - p) // (r*q) + 1, as (t+d)**r >= p +
+    d*r*q > x. While p = t**r > x, Newton steps to ((r-1)*t + x*t // p)
+    // r, where x*t // p is x // t**(r-1). By AM-GM, (r-1)*t + x/t**(r-1)
+    >= r * x**(1/r), and the floors keep the step at or above the floor
+    root, while p > x makes it drop below t. So the descent stops at the
+    floor root: a wrong guess costs time, never a wrong root.
     """
     if r < 1:
         raise ValueError(f"root degree must be >= 1, got {r}")
@@ -73,8 +70,6 @@ def nth_root_floor(x: int, r: int) -> int:
     if r == 1 or x in (0, 1):
         return x
     t = _root_guess(x, r)
-    if x.bit_length() > _EXACT_BITS and _certifies_floor_root(t, r, x, x, 0):
-        return t
     q = t ** (r - 1)
     p = q * t
     if p <= x:

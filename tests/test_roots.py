@@ -89,9 +89,8 @@ class TestGuessThenCheck:
     CASES = [(2, 2), (8, 3), (9, 2), (10200, 2), (10 ** 30, 7), (3 ** 200 - 1, 50),
              (2 ** 4000 + 12345, 3), (2 * THETA_64 * 10 ** (64 * 11), 64),
              (21 * THETA_75 * 10 ** (75 * 20), 75), (5 ** 200 + 1, 200),
-             # Past _EXACT_BITS: the bracket rejects a wrong guess first.
-             pytest.param(21 * THETA_75 * 10 ** (75 * 200), 75, id="21theta75-200digits"),
-             pytest.param(2 ** 9000 + 12345, 3, id="2^9000+12345-3")]
+             # Past _EXACT_BITS: nth_root_floor still decides it exactly.
+             pytest.param(21 * THETA_75 * 10 ** (75 * 200), 75, id="21theta75-200digits")]
 
     @pytest.fixture
     def guesses(self, monkeypatch):
@@ -118,6 +117,25 @@ class TestGuessThenCheck:
                  "4*floor": 4 * root, "1<<(bits+2)": 1 << (bits + 2)}[wrong]
         monkeypatch.setattr(roots, "_root_guess", lambda x, r: max(guess, 1))
         assert nth_root_floor(x, r) == root
+
+    @pytest.mark.parametrize("mode", [ROUND_FLOOR, ROUND_NEAREST])
+    @pytest.mark.parametrize("offset", [-3, -1, 1, 5])
+    def test_the_decimal_bracket_rejects_wrong_guesses(self, offset, mode, monkeypatch):
+        # Past _EXACT_BITS, decimal_nth_root's bracket sees the guess
+        # first. It must reject a wrong one, which then reaches
+        # nth_root_floor: a second guess, and a descent to the root.
+        radicand, r, digits = 21 * THETA_75, 75, 200
+        twice = nth_root_floor(radicand * 10 ** (r * digits) << r, r)
+        calls = []
+
+        def wrong(x, r):
+            calls.append(x)
+            return twice + offset
+
+        monkeypatch.setattr(roots, "_root_guess", wrong)
+        root = decimal_nth_root(radicand, r, digits, mode)
+        assert root.scaled == (twice + (mode == ROUND_NEAREST)) >> 1
+        assert len(calls) == 2 and calls[0].bit_length() > _EXACT_BITS
 
     @given(st.integers(min_value=1, max_value=10 ** 60),
            st.integers(min_value=1, max_value=40),
@@ -209,12 +227,16 @@ class TestGuessThenCheck:
         assert not _certifies_floor_root(root + 1, r, x, x, 0)
         assert not _certifies_floor_root(root - 1, r, x, x, 0)
 
-    def test_certificate_leaves_a_near_exact_power_undecided(self, guesses):
-        # x - t**r = 12345 is far below the bracket's width, so the bracket
-        # cannot show t**r <= x; the exact path decides with the same guess.
-        x, t = 2 ** 9000 + 12345, 2 ** 3000
-        assert not _certifies_floor_root(t, 3, x, x, 0)
-        assert nth_root_floor(x, 3) == t and guesses == [t]
+    @pytest.mark.parametrize("r", [3, 8, 64, 75, 512])
+    def test_certificate_rejects_the_root_below_an_exact_power(self, r):
+        # x - (g-1)**r = g**r - (g-1)**r is r*(g-1)**(r-1) times about
+        # 1 + (r-1)/(2g): past the bound r*t**(r-1), yet below
+        # (r+1)*t**(r-1), so only the bound's own r rejects g - 1.
+        g = random.Random(r).getrandbits(_EXACT_BITS // r + 64) | 1 << (_EXACT_BITS // r + 63)
+        x = g ** r
+        assert x.bit_length() > _EXACT_BITS
+        assert not _certifies_floor_root(g - 1, r, x, x, 0)
+        assert not _certifies_floor_root(g - 1, r, x - 1, x, 0)
 
     @given(st.integers(min_value=1, max_value=2 ** 300),
            st.integers(min_value=1, max_value=80),
