@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Compute exact 3AP-free permutation counts over a range of n.
 
-Results go into a b-file-format cache (with a provenance sidecar) that
-every other command can consume. Values already in the cache are not
-recomputed, and a run that computes nothing new leaves the cache as it
-is. The last line says which: `cache written to C` or `cache unchanged: C`.
+Results go into a b-file cache that every other command can consume; its
+"#provenance n tag" comment lines record where each value came from.
+Values already in the cache are not recomputed, and a run that computes
+nothing new leaves the cache as it is. The last line says which:
+`cache written to C` or `cache unchanged: C`.
 
 Usage examples:
   python scripts/compute_theta.py --max 16

@@ -1,13 +1,13 @@
 """Reading and writing the package's on-disk formats.
 
-Three formats, all plain UTF-8 text with LF line endings:
+Two formats, both plain UTF-8 text with LF line endings:
 
   * b-file: one "n value" pair per line, single space, n strictly
     ascending, '#' comment lines allowed. This is the OEIS b-file
     convention, and the persistent count cache deliberately uses the
-    same grammar so caches and published data files interchange.
-  * provenance sidecar: "<cache>.provenance", lines "n tag", n
-    strictly ascending.
+    same grammar so caches and published data files interchange. A
+    cache also carries one comment line "#provenance n tag" per entry,
+    n strictly ascending, which every other b-file reader skips.
   * figure data: lines "n root", where root is theta(n)^(1/n) rounded
     to a fixed number of decimal places, loadable by any two-column
     space-separated plot reader.
@@ -43,7 +43,7 @@ class BFileEntry(NamedTuple):
 
 
 def _is_integer(token: str) -> bool:
-    """Whether token is an integer of the b-file and sidecar grammar:
+    """Whether token is an integer of the b-file and tag-line grammar:
     ASCII digits after an optional minus sign. int() alone also takes
     "+4", "1_0" and non-ASCII digits."""
     return token.isascii() and token.removeprefix("-").isdigit()
@@ -66,9 +66,13 @@ def parse_bfile(source: Source) -> list[BFileEntry]:
     is a path, the message ends with " in {path}".
     """
     where = f" in {source}" if isinstance(source, (str, Path)) else ""
+    return _parse_bfile_lines(_iter_lines(source), where)
+
+
+def _parse_bfile_lines(lines: Iterable[str], where: str) -> list[BFileEntry]:
     entries: list[BFileEntry] = []
     last_n = None
-    for lineno, raw in enumerate(_iter_lines(source), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -141,17 +145,13 @@ def _bounds_violation(entries: list[BFileEntry]) -> Optional[str]:
     return None
 
 
-def provenance_path(cache_path: Union[str, Path]) -> Path:
-    return Path(f"{cache_path}.provenance")
-
-
 def _lock_path(cache_path: Union[str, Path]) -> Path:
     return Path(f"{cache_path}.lock")
 
 
 def save_table(tbl: ThetaTable, path: Union[str, Path]) -> None:
     """Merge the cache at `path` into the table, then write the table
-    there as a b-file plus a provenance sidecar.
+    there as a b-file whose "#provenance n tag" lines precede its values.
 
     The merge is load_table into `tbl`, all or none through
     `ThetaTable.merge`: the table gains the entries that another writer
@@ -159,102 +159,80 @@ def save_table(tbl: ThetaTable, path: Union[str, Path]) -> None:
     already holds, and a cache that disagrees with the table raises
     ConflictError (a corrupt one ParseError) before anything is added
     or written. Each save holds an exclusive lock on "<cache>.lock" from
-    its re-read through both renames, so two processes that load the
-    same cache and each add an entry both keep it, however their saves
-    interleave, and `load_table` takes the same lock shared, so no reader
-    sees the sidecar of one save beside the b-file of another. The lock
-    file is left in place: removing it would let a later save lock a new
-    file while an earlier one still holds the old. Where fcntl is missing
-    (not POSIX), saves and loads run unlocked.
+    its re-read through its rename, so two processes that load the same
+    cache and each add an entry both keep it, however their saves
+    interleave. The lock file is left in place: removing it would let a
+    later save lock a new file while an earlier one still holds the old.
+    Where fcntl is missing (not POSIX), saves run unlocked.
 
-    Each file is written beside its target and renamed over it, the
-    sidecar first, so neither is ever left half written. A table only
-    gains entries, so a failure between the two renames leaves tags for
-    n that the old b-file lacks, which load_table rejects: the cache then
-    fails loudly instead of loading with wrong tags. There is no fsync;
-    the renames guard against a failed write, not against power loss.
+    The file is written beside its target and renamed over it, so a
+    reader sees the old cache or the new one, never part of either, and
+    a failed write leaves the old cache as it was. There is no fsync;
+    the rename guards against a failed write, not against power loss.
     """
     path = Path(path)
     with open(_lock_path(path), "a") as lock:
         if fcntl is not None:
             fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
         if path.exists():
-            # Unlocked: a second flock on another open of the lock file
-            # would wait for this one.
-            _load(path, tbl)
+            load_table(path, tbl)
         items = tbl.items_sorted()
-        _write_then_rename(provenance_path(path), [f"{n} {e.provenance}\n" for n, e in items])
-        _write_then_rename(path, [f"{n} {e.value}\n" for n, e in items])
+        lines = [f"#provenance {n} {e.provenance}\n" for n, e in items]
+        lines += [f"{n} {e.value}\n" for n, e in items]
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+                fh.writelines(lines)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
 
-def _write_then_rename(path: Path, lines: list[str]) -> None:
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(lines)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-def _read_provenances(path: Path) -> dict[int, str]:
+def _read_tags(lines: list[str], path: Union[str, Path]) -> dict[int, str]:
+    """The "#provenance n tag" lines of a cache, as {n: tag}."""
     tags: dict[int, str] = {}
-    for lineno, raw in enumerate(_iter_lines(path), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
         tokens = line.split()
-        if not (len(tokens) == 2 and _is_integer(tokens[0]) and tokens[1] in PROVENANCES):
+        if tokens[:1] != ["#provenance"]:
+            continue
+        if not (len(tokens) == 3 and _is_integer(tokens[1]) and tokens[2] in PROVENANCES):
             raise ParseError(f"bad provenance line {line!r} in {path}", line=lineno)
         try:
-            n = int(tokens[0])
+            n = int(tokens[1])
         except ValueError:  # past the interpreter's int/str digit limit
-            raise ParseError(f"index of {len(tokens[0])} characters is too long in {path}",
+            raise ParseError(f"index of {len(tokens[1])} characters is too long in {path}",
                              line=lineno) from None
         if tags and n <= next(reversed(tags)):
             raise ParseError(f"bad provenance line {line!r}, n not strictly ascending, in {path}",
                              line=lineno)
-        tags[n] = tokens[1]
+        tags[n] = tokens[2]
     return tags
 
 
 def load_table(path: Union[str, Path], tbl: Optional[ThetaTable] = None) -> ThetaTable:
     """Load a cache file into a table (a fresh builtin table by default).
 
-    Entries get their sidecar provenance when the sidecar exists, and
-    "ingested" otherwise. A failing load leaves the table untouched: a
-    sidecar tag for an n the cache lacks or not above the tag before it,
-    or a value outside the universal bounds for its n, raises ParseError
-    before the table is touched, and the entries then go through
-    `ThetaTable.merge`, so a value conflicting with one already in the
-    table raises ConflictError and adds nothing.
-
-    When "<cache>.lock" exists, the load holds a shared lock on it, so it
-    waits for a `save_table` that is between its two renames. The lock
-    file is opened read-only and never created: a cache that no save has
-    written is read unlocked.
+    Entries get the tag of their "#provenance" line, and "ingested" when
+    they have none. The file is read through one open, so the values and
+    the tags come from the same save; a load takes no lock, as a save
+    replaces the whole file by one rename. A failing load leaves the
+    table untouched: a malformed tag line, a tag not above the one
+    before it or for an n the cache holds no value for, or a value
+    outside the universal bounds for its n, raises ParseError before the
+    table is touched, and the entries then go through `ThetaTable.merge`,
+    so a value conflicting with one already in the table raises
+    ConflictError and adds nothing.
     """
-    try:
-        lock = open(_lock_path(path), "rb")
-    except FileNotFoundError:
-        return _load(path, tbl)
-    with lock:
-        if fcntl is not None:
-            fcntl.flock(lock, fcntl.LOCK_SH)  # released when the file closes
-        return _load(path, tbl)
-
-
-def _load(path: Union[str, Path], tbl: Optional[ThetaTable]) -> ThetaTable:
-    """`load_table` without the lock."""
     if tbl is None:
         tbl = ThetaTable()
-    entries = [e for e in parse_bfile(path) if e.n != 0]
-    sidecar = provenance_path(path)
-    tags = _read_provenances(sidecar) if sidecar.exists() else {}
+    lines = list(_iter_lines(path))
+    entries = [e for e in _parse_bfile_lines(lines, f" in {path}") if e.n != 0]
+    tags = _read_tags(lines, path)
     orphans = sorted(set(tags) - {e.n for e in entries})
     if orphans:
-        raise ParseError(f"{sidecar}: tags for n={orphans} that {path} does not hold")
+        raise ParseError(f"{path}: provenance tags for n={orphans} that it holds no value for")
     violation = _bounds_violation(entries)
     if violation is not None:
         raise ParseError(f"{path}: {violation}; the cache is corrupt")

@@ -11,15 +11,15 @@ r*t**(r-1), since (t+1)**r - t**r >= r*t**(r-1).
 
 `nth_root_floor` runs that test exactly: t**(r-1) and t**r are computed
 in full. `decimal_nth_root` roots 2**r * R * 10**(r*d), which is R * 5**(r*d)
-shifted left by r*(d+1) bits. From degree `_BRACKET_DEGREE` up, when that
-radicand would have more than `_EXACT_BITS` bits, it is not built:
-5**(r*d) and t**(r-1) are bracketed between m * 2**e and hi * 2**e at
-about t's own precision, and t is returned when the brackets decide the
-test for both ends of the radicand's bracket. When they cannot, and for
-every shorter radicand or lower degree, the radicand is built and
-`nth_root_floor` decides. A guess that fails its exact test starts a
-Newton descent from above that stops at the floor root, so the guess sets
-only how long the root takes, never its value.
+shifted left by r*(d+1) bits. From degree 2 up, when that radicand would
+have more than `_EXACT_BITS` bits, it is not built: 5**(r*d) and
+t**(r-1) are bracketed between m * 2**e and hi * 2**e at about t's own
+precision, and t is returned when the brackets decide the test for both
+ends of the radicand's bracket. When they cannot, and for every shorter
+radicand or degree 1, the radicand is built and `nth_root_floor`
+decides. A guess that fails its exact test starts a Newton descent from
+above that stops at the floor root, so the guess sets only how long the
+root takes, never its value.
 """
 
 from __future__ import annotations
@@ -39,12 +39,6 @@ _SEED_BITS = 40
 # which costs no more there (the two meet at 6,000 to 8,000 bits for
 # degrees 8 to 512).
 _EXACT_BITS = 8192
-
-# decimal_nth_root brackets its radicand only from this degree up. Below
-# it the root holds more than an eighth of the radicand's bits, and
-# bracketing 5**(r*d) at the root's precision costs about as much as
-# building it (even at degrees 5 to 7, up to 15% more below them).
-_BRACKET_DEGREE = 8
 
 
 def nth_root_floor(x: int, r: int) -> int:
@@ -250,11 +244,11 @@ def decimal_nth_root(radicand: int, degree: int, digits: int,
     half up. t is the floor rth root of 2**r * radicand * 10**(r*digits),
     which is radicand * 5**(r*digits) shifted left by r*(digits + 1) bits.
     When that radicand would have more than `_EXACT_BITS` bits and r is at
-    least `_BRACKET_DEGREE`, it is not built: 5**(r*digits) is bracketed
-    at about the root's precision, the guess is taken from the bracket's
-    lower end, and `_certifies_floor_root` tests it against both ends.
-    Only when that bracket cannot decide, and for every shorter radicand,
-    is the exact radicand built and passed to `nth_root_floor`.
+    least 2, it is not built: 5**(r*digits) is bracketed at about the
+    root's precision, the guess is taken from the bracket's lower end, and
+    `_certifies_floor_root` tests it against both ends. Only when that
+    bracket cannot decide, and for every shorter radicand or degree 1, is
+    the exact radicand built and passed to `nth_root_floor`.
     """
     if degree < 1:
         raise ValueError(f"root degree must be >= 1, got {degree}")
@@ -275,7 +269,7 @@ def _doubled_root(radicand: int, r: int, digits: int) -> int:
     n, shift = r * digits, r * (digits + 1)
     # 5**n has about n * log2(5) < n * 7/3 bits.
     bits = radicand.bit_length() + shift + n * 7 // 3
-    if r >= _BRACKET_DEGREE and radicand and bits > _EXACT_BITS:
+    if r >= 2 and radicand and bits > _EXACT_BITS:  # `_root_guess` takes r >= 2
         lo, hi, e = _power_bracket(5, n, bits // r + 2 * n.bit_length() + 40)
         t = _root_guess((radicand * lo) << (e + shift), r)
         if _certifies_floor_root(t, r, radicand * lo, radicand * hi, e + shift):

@@ -48,12 +48,11 @@ class TestCount:
         tbl = ThetaTable(include_builtins=False)
         tbl.insert(8, 283, PROVENANCE_INGESTED)  # wrong on purpose
         save_table(tbl, cache)
-        sidecar = tmp_path / "cache.txt.provenance"
-        before = cache.read_bytes(), sidecar.read_bytes()
+        before = cache.read_bytes()
         code, _, err = run_cli(["count", "8", "--cache", str(cache)])
         assert code == 1
         assert "282" in err and "283" in err
-        assert (cache.read_bytes(), sidecar.read_bytes()) == before
+        assert cache.read_bytes() == before
 
     def test_node_budget(self):
         # The subset DP has no budget, so the flag is not an option.
@@ -98,10 +97,12 @@ class TestComputeTheta:
         assert lines[11].startswith("n=12: 6128  [computed now, ")
         assert lines[-1] == f"cache written to {cache}"
 
-        files = (cache, cache.with_name(cache.name + ".provenance"))
+        assert "#provenance 12 computed\n" in cache.read_text()
+        assert sorted(p.name for p in cache.parent.iterdir()) == [
+            "theta_cache.txt", "theta_cache.txt.lock"]
+
         def stamps():
-            return [(f.read_bytes(), f.stat().st_mtime_ns, f.stat().st_ino)
-                    for f in files]
+            return cache.read_bytes(), cache.stat().st_mtime_ns, cache.stat().st_ino
 
         written = stamps()
         second = self.run_script("--max", "12", "--cache", str(cache))
@@ -111,7 +112,7 @@ class TestComputeTheta:
         for n, line in enumerate(lines[:11], start=1):
             assert line.startswith(f"n={n}: {PAPER_SMALL[n - 1]}  [builtin, ")
         assert lines[11].startswith("n=12: 6128  [computed, ")
-        # Nothing new was computed, so neither file was rewritten.
+        # Nothing new was computed, so the cache was not rewritten.
         assert stamps() == written
         assert lines[-1] == f"cache unchanged: {cache}"
 
@@ -507,17 +508,15 @@ class TestIngest:
         assert "Exceeds the limit" not in err and "1" * 100 not in err
 
 
-class TestCacheSidecar:
+class TestCacheTags:
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                         reason="this interpreter has no int/str digit limit")
     def test_index_past_the_int_digit_limit_is_usage_error(self, tmp_path):
         cache = tmp_path / "cache.txt"
-        cache.write_text("1 1\n2 2\n")
-        sidecar = tmp_path / "cache.txt.provenance"
-        sidecar.write_text("1" * 5000 + " computed\n")
+        cache.write_text("#provenance " + "1" * 5000 + " computed\n1 1\n2 2\n")
         code, out, err = run_cli(["verify", "--cache", str(cache)])
         assert code == 2 and out == ""
-        assert err.startswith("error: line 1: ") and str(sidecar) in err
+        assert err.startswith("error: line 1: ") and str(cache) in err
         assert "Exceeds the limit" not in err and "1" * 100 not in err
 
 

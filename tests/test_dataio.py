@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 
 import pytest
@@ -172,9 +173,17 @@ class TestSaveLoad:
             load_table(path, tbl)
         assert tbl.items_sorted() == before
 
-    def test_load_without_sidecar_defaults_to_ingested(self, tmp_path):
+    def test_load_without_tag_lines_defaults_to_ingested(self, tmp_path):
         path = tmp_path / "cache.txt"
         path.write_text("12 6128\n")
+        assert load_table(path).provenance(12) == PROVENANCE_INGESTED
+
+    def test_an_old_provenance_sidecar_is_not_read(self, tmp_path):
+        # Tags once lived in "<cache>.provenance"; such a file is ignored,
+        # malformed or not, and its entries load with the conservative tag.
+        path = tmp_path / "cache.txt"
+        path.write_text("12 6128\n")
+        (tmp_path / "cache.txt.provenance").write_text("12 computed\nx y\n")
         assert load_table(path).provenance(12) == PROVENANCE_INGESTED
 
     def test_load_rejects_value_outside_universal_bounds(self, tmp_path):
@@ -195,83 +204,125 @@ class TestSaveLoad:
             load_table(path, tbl)
         assert tbl.value(4) == 10
 
-    def test_load_rejects_sidecar_tag_missing_from_cache(self, tmp_path):
+    def test_load_rejects_tag_for_an_n_the_cache_lacks(self, tmp_path):
         path = tmp_path / "cache.txt"
-        path.write_text("12 6128\n")
-        dataio.provenance_path(path).write_text("12 computed\n13 computed\n")
+        path.write_text("#provenance 12 computed\n#provenance 13 computed\n12 6128\n")
         with pytest.raises(ParseError, match=r"n=\[13\]"):
             load_table(path)
         code, _, err = run_cli(["verify", "--cache", str(path)])
         assert code == 2 and "13" in err
 
-    @pytest.mark.parametrize("sidecar", [
-        "12 computed\nx computed\n",
-        "12 computed\n13\n",
-        "12 computed\n13 computed extra\n",
-        "12 computed\n13 guessed\n",
-        "12 computed\n+13 computed\n",
-        "12 computed\n1_3 computed\n",
-        "12 computed\n\u0661\u0663 computed\n",
-        "12 computed\n12 ingested\n",
-        "13 computed\n12 computed\n",
+    @pytest.mark.parametrize("tags", [
+        "#provenance 12 computed\n#provenance x computed\n",
+        "#provenance 12 computed\n#provenance 13\n",
+        "#provenance 12 computed\n#provenance 13 computed extra\n",
+        "#provenance 12 computed\n#provenance 13 guessed\n",
+        "#provenance 12 computed\n#provenance +13 computed\n",
+        "#provenance 12 computed\n#provenance 1_3 computed\n",
+        "#provenance 12 computed\n#provenance \u0661\u0663 computed\n",
+        "#provenance 12 computed\n#provenance 12 ingested\n",
+        "#provenance 13 computed\n#provenance 12 computed\n",
     ], ids=["non-integer-n", "one-token", "three-tokens", "unknown-tag", "plus-sign",
             "underscore", "non-ascii-digits", "repeated-n", "descending-n"])
-    def test_load_names_the_malformed_sidecar_line(self, tmp_path, sidecar):
+    def test_load_names_the_malformed_tag_line(self, tmp_path, tags):
         path = tmp_path / "cache.txt"
-        path.write_text("12 6128\n13 12840\n")
-        dataio.provenance_path(path).write_text(sidecar)
-        with pytest.raises(ParseError, match=r"^line 2: .*cache\.txt\.provenance$"):
+        path.write_text(tags + "12 6128\n13 12840\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"^line 2: .*cache\.txt$"):
             load_table(path)
         code, out, err = run_cli(["verify", "--cache", str(path)])
         assert (code, out) == (2, "")
         assert err.startswith("error: line 2: bad provenance line")
-        assert "cache.txt.provenance" in err
+        assert str(path) in err
 
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                         reason="this interpreter has no int/str digit limit")
-    def test_sidecar_index_past_the_int_digit_limit_names_line_and_file(self, tmp_path):
+    def test_tag_index_past_the_int_digit_limit_names_line_and_file(self, tmp_path):
         path = tmp_path / "cache.txt"
-        path.write_text("1 1\n2 2\n")
-        sidecar = dataio.provenance_path(path)
         token = "1" * 5000
-        sidecar.write_text(f"1 computed\n{token} computed\n")
+        path.write_text(f"#provenance 1 computed\n#provenance {token} computed\n1 1\n2 2\n")
         with pytest.raises(ParseError,
-                           match=rf"^line 2: .* in {re.escape(str(sidecar))}$") as exc:
+                           match=rf"^line 2: .* in {re.escape(str(path))}$") as exc:
             load_table(path)
         assert exc.value.line == 2
         assert token not in str(exc.value)
 
-    @pytest.mark.parametrize("failing_call", [1, 2])
-    def test_interrupted_save_never_loads_wrong_tags(self, tmp_path, monkeypatch,
-                                                     failing_call):
+    def test_a_save_is_one_file_and_one_rename(self, tmp_path, monkeypatch):
+        path = tmp_path / "cache.txt"
+        tbl = ThetaTable(include_builtins=False)
+        tbl.insert(12, 6128, PROVENANCE_COMPUTED)
+        tbl.insert(13, 12840, PROVENANCE_INGESTED)
+        replace, renamed = dataio.os.replace, []
+
+        def counted_replace(src, dst):
+            renamed.append(dst)
+            replace(src, dst)
+
+        monkeypatch.setattr(dataio.os, "replace", counted_replace)
+        save_table(tbl, path)
+        assert renamed == [path]
+        assert path.read_text() == ("#provenance 12 computed\n#provenance 13 ingested\n"
+                                    "12 6128\n13 12840\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.txt", "cache.txt.lock"]
+
+    def test_a_saved_cache_is_a_bfile_and_ingest_ignores_its_tags(self, tmp_path):
+        cache, other = tmp_path / "cache.txt", tmp_path / "other.txt"
+        tbl = ThetaTable(include_builtins=False)
+        tbl.insert(12, 6128, PROVENANCE_COMPUTED)
+        tbl.insert(13, 12840, PROVENANCE_INGESTED)
+        tbl.insert(14, 29380, PROVENANCE_BUILTIN)
+        save_table(tbl, cache)
+        assert parse_bfile(cache) == [BFileEntry(n, e.value) for n, e in tbl.items_sorted()]
+        code, _, _ = run_cli(["ingest", str(cache), "--cache", str(other)])
+        assert code == 0
+        ingested = load_table(other)
+        assert {n: ingested.provenance(n) for n in (12, 13, 14)} == dict.fromkeys(
+            (12, 13, 14), PROVENANCE_INGESTED)
+
+    @pytest.mark.parametrize("failing_step", ["write", "rename"])
+    def test_failed_save_leaves_the_old_cache(self, tmp_path, monkeypatch, failing_step):
         path = tmp_path / "cache.txt"
         old = ThetaTable()
         old.insert(12, 6128, PROVENANCE_COMPUTED)
         save_table(old, path)
+        before = path.read_bytes()
         new = ThetaTable()
-        new.insert(12, 6128, PROVENANCE_COMPUTED)
         new.insert(13, 12840, PROVENANCE_COMPUTED)
-        replace, calls = dataio.os.replace, []
 
-        def flaky_replace(src, dst):
-            calls.append(dst)
-            if len(calls) == failing_call:
+        class FullDisk:
+            """A temporary file that takes one line, then runs out of space."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def writelines(self, lines):
+                self.fh.write(lines[0])
                 raise OSError("disk full")
-            replace(src, dst)
 
-        monkeypatch.setattr(dataio.os, "replace", flaky_replace)
-        with pytest.raises(OSError):
+        def failing_open(file, mode="r", **kwargs):
+            fh = open(file, mode, **kwargs)
+            return FullDisk(fh) if str(file).endswith(".tmp") else fh
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        if failing_step == "write":
+            monkeypatch.setattr(dataio, "open", failing_open, raising=False)
+        else:
+            monkeypatch.setattr(dataio.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
             save_table(new, path)
         monkeypatch.undo()
-        # The sidecar is renamed first: a failure there changes nothing,
-        # and a failure after it leaves a tag for 13 that the b-file lacks.
-        if failing_call == 1:
-            assert load_table(path).items_sorted() == old.items_sorted()
-        else:
-            with pytest.raises(ParseError):
-                load_table(path)
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "cache.txt", "cache.txt.lock", "cache.txt.provenance"]
+        assert path.read_bytes() == before
+        loaded = load_table(path)
+        assert loaded.items_sorted() == old.items_sorted()
+        assert loaded.provenance(12) == PROVENANCE_COMPUTED
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.txt", "cache.txt.lock"]
 
     def test_concurrent_writers_keep_both_entries(self, tmp_path):
         # Both tables load the same cache before either saves; the second
@@ -290,7 +341,7 @@ class TestSaveLoad:
 
     @needs_flock
     def test_a_save_waits_for_the_lock_and_keeps_what_its_holder_wrote(self, tmp_path):
-        path = tmp_path / "cache.txt"
+        path, expected = tmp_path / "cache.txt", tmp_path / "expected.txt"
         save_table(ThetaTable(), path)
         saver = subprocess.Popen([sys.executable, "-c", textwrap.dedent("""
             import sys
@@ -305,14 +356,15 @@ class TestSaveLoad:
             assert saver.stdout.readline() == "saving\n"
             time.sleep(0.5)  # an unlocked save finishes well within this
             assert saver.poll() is None
-            # What another saver writes between its re-read and its renames.
-            path.write_text("13 12840\n")
-            dataio.provenance_path(path).write_text("13 ingested\n")
+            # What another saver writes between its re-read and its rename.
+            path.write_text("#provenance 13 ingested\n13 12840\n")
         assert saver.wait(timeout=60) == 0
         saver.stdout.close()
-        again = load_table(path)
-        assert again.provenance(12) == PROVENANCE_COMPUTED
-        assert again.provenance(13) == PROVENANCE_INGESTED
+        merged = ThetaTable()
+        merged.insert(12, 6128, PROVENANCE_COMPUTED)
+        merged.insert(13, 12840, PROVENANCE_INGESTED)
+        save_table(merged, expected)
+        assert path.read_bytes() == expected.read_bytes()
 
     @needs_flock
     def test_two_processes_saving_at_once_lose_no_entry(self, tmp_path):
@@ -335,10 +387,11 @@ class TestSaveLoad:
 
     @needs_flock
     def test_loads_during_saves_never_see_half_a_save(self, tmp_path):
-        # Each save renames its sidecar and then its b-file; a load that
-        # read between the two renames would find tags for an n the b-file
-        # lacks and raise ParseError; without the shared lock, about one
-        # load in ten does.
+        # Loads take no lock: each save replaces the whole cache by one
+        # rename, and a load reads it through one open, so every load sees
+        # one complete save. A save that wrote in place, or kept its tags
+        # in a second file, would let a load find tags for an n it holds
+        # no value for, or a half-written line, and raise ParseError.
         path = tmp_path / "cache.txt"
         save_table(ThetaTable(include_builtins=False), path)
         saver = subprocess.Popen([sys.executable, "-c", textwrap.dedent("""
@@ -362,23 +415,35 @@ class TestSaveLoad:
         assert load_table(path, ThetaTable(include_builtins=False)).available(216) == \
             list(range(17, 217))
 
-    def test_load_takes_no_lock_it_did_not_find(self, tmp_path):
+    @needs_flock
+    def test_a_load_takes_no_lock(self, tmp_path):
         path = tmp_path / "cache.txt"
         path.write_text("12 6128\n")
         assert load_table(path).value(12) == 6128
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.txt"]
+        # A save in progress holds the lock; a load still returns at once.
+        loaded = []
+        with open(tmp_path / "cache.txt.lock", "a") as lock:
+            dataio.fcntl.flock(lock, dataio.fcntl.LOCK_EX)
+            loader = threading.Thread(target=lambda: loaded.append(load_table(path)))
+            loader.start()
+            loader.join(timeout=10)
+            assert not loader.is_alive()
+        assert loaded[0].value(12) == 6128
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.txt", "cache.txt.lock"]
 
     def test_save_over_a_disagreeing_cache_writes_nothing(self, tmp_path):
         path = tmp_path / "cache.txt"
         other = ThetaTable()
         other.insert(12, 6128, PROVENANCE_COMPUTED)
         save_table(other, path)
-        before = path.read_bytes(), dataio.provenance_path(path).read_bytes()
+        before = path.read_bytes()
         tbl = ThetaTable()
         tbl.insert(12, 6129, PROVENANCE_INGESTED)
         with pytest.raises(ConflictError, match="n=12"):
             save_table(tbl, path)
-        assert (path.read_bytes(), dataio.provenance_path(path).read_bytes()) == before
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.txt", "cache.txt.lock"]
 
     def test_save_then_reingest_round_trips(self, tmp_path):
         path = tmp_path / "cache.txt"
