@@ -7,7 +7,9 @@ Two formats, both plain UTF-8 text with LF line endings:
     convention, and the persistent count cache deliberately uses the
     same grammar so caches and published data files interchange. A
     cache also carries one comment line "#provenance n tag" per entry,
-    n strictly ascending, which every other b-file reader skips.
+    n strictly ascending, which every other b-file reader skips. A cache
+    load reads its tag lines in the same one pass as its values, and a
+    "builtin" tag must name a value the package ships.
   * figure data: lines "n root", where root is theta(n)^(1/n) rounded
     to a fixed number of decimal places, loadable by any two-column
     space-separated plot reader.
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Optional, TextIO, Union
+from typing import Iterable, NamedTuple, Optional, TextIO, Union
 
 try:
     import fcntl
@@ -30,7 +32,7 @@ except ImportError:  # not POSIX
 from .errors import ConflictError, ParseError, ValueUnavailable
 from .growth import global_theta_bounds
 from .roots import ROUND_NEAREST, decimal_nth_root
-from .table import PROVENANCE_INGESTED, PROVENANCES, ThetaTable
+from .table import BUILTINS, PROVENANCE_BUILTIN, PROVENANCE_INGESTED, PROVENANCES, ThetaTable
 
 Source = Union[str, Path, TextIO, Iterable[str]]
 
@@ -49,14 +51,6 @@ def _is_integer(token: str) -> bool:
     return token.isascii() and token.removeprefix("-").isdigit()
 
 
-def _iter_lines(source: Source) -> Iterator[str]:
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            yield from fh
-    else:
-        yield from source
-
-
 def parse_bfile(source: Source) -> list[BFileEntry]:
     """Parse b-file text into entries, enforcing the grammar.
 
@@ -65,29 +59,51 @@ def parse_bfile(source: Source) -> list[BFileEntry]:
     or non-ascending n (which also catches duplicates); when the source
     is a path, the message ends with " in {path}".
     """
-    where = f" in {source}" if isinstance(source, (str, Path)) else ""
-    return _parse_bfile_lines(_iter_lines(source), where)
+    if isinstance(source, (str, Path)):
+        with open(source, "r", encoding="utf-8") as fh:
+            return _parse_bfile_lines(fh, f" in {source}")
+    return _parse_bfile_lines(source, "")
 
 
-def _parse_bfile_lines(lines: Iterable[str], where: str) -> list[BFileEntry]:
+def _int(token: str, lineno: int, where: str) -> int:
+    """int(token) for a token of the grammar, or ParseError past the
+    interpreter's int/str digit limit."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"integer token of {len(token)} characters is too long{where}",
+                         line=lineno) from None
+
+
+def _parse_bfile_lines(lines: Iterable[str], where: str,
+                       tags: Optional[dict[int, str]] = None) -> list[BFileEntry]:
+    """The entries of b-file lines, each checked where it stands, so the
+    first faulty line is the one reported. Given a `tags` dict, each
+    "#provenance n tag" line is checked there too, n strictly above the
+    tag line's before, and stored as tags[n] = tag; else it is a comment.
+    """
     entries: list[BFileEntry] = []
     last_n = None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
+        tokens = line.split()
+        if tags is not None and tokens[:1] == ["#provenance"]:
+            if not (len(tokens) == 3 and _is_integer(tokens[1]) and tokens[2] in PROVENANCES):
+                raise ParseError(f"bad provenance line {line!r}{where}", line=lineno)
+            n = _int(tokens[1], lineno, where)
+            if tags and n <= next(reversed(tags)):
+                raise ParseError(f"bad provenance line {line!r}, n not strictly ascending,{where}",
+                                 line=lineno)
+            tags[n] = tokens[2]
+            continue
         if not line or line.startswith("#"):
             continue
-        tokens = line.split()
         if len(tokens) != 2:
             raise ParseError(
                 f"expected two tokens, got {len(tokens)}: {line!r}{where}", line=lineno)
         if not (_is_integer(tokens[0]) and _is_integer(tokens[1])):
             raise ParseError(f"non-integer token in {line!r}{where}", line=lineno)
-        try:
-            n, value = int(tokens[0]), int(tokens[1])
-        except ValueError:  # past the interpreter's int/str digit limit
-            raise ParseError(
-                f"integer token of {max(map(len, tokens))} characters is too long{where}",
-                line=lineno) from None
+        n, value = _int(tokens[0], lineno, where), _int(tokens[1], lineno, where)
         if n < 0:
             raise ParseError(f"negative index n={n}{where}", line=lineno)
         if value < 0:
@@ -145,10 +161,6 @@ def _bounds_violation(entries: list[BFileEntry]) -> Optional[str]:
     return None
 
 
-def _lock_path(cache_path: Union[str, Path]) -> Path:
-    return Path(f"{cache_path}.lock")
-
-
 def save_table(tbl: ThetaTable, path: Union[str, Path]) -> None:
     """Merge the cache at `path` into the table, then write the table
     there as a b-file whose "#provenance n tag" lines precede its values.
@@ -171,7 +183,7 @@ def save_table(tbl: ThetaTable, path: Union[str, Path]) -> None:
     the rename guards against a failed write, not against power loss.
     """
     path = Path(path)
-    with open(_lock_path(path), "a") as lock:
+    with open(f"{path}.lock", "a") as lock:
         if fcntl is not None:
             fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
         if path.exists():
@@ -189,50 +201,35 @@ def save_table(tbl: ThetaTable, path: Union[str, Path]) -> None:
             raise
 
 
-def _read_tags(lines: list[str], path: Union[str, Path]) -> dict[int, str]:
-    """The "#provenance n tag" lines of a cache, as {n: tag}."""
-    tags: dict[int, str] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        tokens = line.split()
-        if tokens[:1] != ["#provenance"]:
-            continue
-        if not (len(tokens) == 3 and _is_integer(tokens[1]) and tokens[2] in PROVENANCES):
-            raise ParseError(f"bad provenance line {line!r} in {path}", line=lineno)
-        try:
-            n = int(tokens[1])
-        except ValueError:  # past the interpreter's int/str digit limit
-            raise ParseError(f"index of {len(tokens[1])} characters is too long in {path}",
-                             line=lineno) from None
-        if tags and n <= next(reversed(tags)):
-            raise ParseError(f"bad provenance line {line!r}, n not strictly ascending, in {path}",
-                             line=lineno)
-        tags[n] = tokens[2]
-    return tags
-
-
 def load_table(path: Union[str, Path], tbl: Optional[ThetaTable] = None) -> ThetaTable:
     """Load a cache file into a table (a fresh builtin table by default).
 
     Entries get the tag of their "#provenance" line, and "ingested" when
-    they have none. The file is read through one open, so the values and
-    the tags come from the same save; a load takes no lock, as a save
-    replaces the whole file by one rename. A failing load leaves the
-    table untouched: a malformed tag line, a tag not above the one
-    before it or for an n the cache holds no value for, or a value
-    outside the universal bounds for its n, raises ParseError before the
-    table is touched, and the entries then go through `ThetaTable.merge`,
-    so a value conflicting with one already in the table raises
-    ConflictError and adds nothing.
+    they have none. The file is read once, line by line through one
+    open, so the values and the tags come from the same save; a load
+    takes no lock, as a save replaces the whole file by one rename. A
+    failing load leaves the table untouched: the first malformed line,
+    value or tag, raises ParseError, as do a tag for an n the cache
+    holds no value for, a "builtin" tag on an n and value the package
+    does not ship, and a value outside the universal bounds for its n,
+    all before the table is touched; the entries then go through
+    `ThetaTable.merge`, so a value conflicting with one already in the
+    table raises ConflictError and adds nothing.
     """
     if tbl is None:
         tbl = ThetaTable()
-    lines = list(_iter_lines(path))
-    entries = [e for e in _parse_bfile_lines(lines, f" in {path}") if e.n != 0]
-    tags = _read_tags(lines, path)
-    orphans = sorted(set(tags) - {e.n for e in entries})
+    tags: dict[int, str] = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        entries = [e for e in _parse_bfile_lines(fh, f" in {path}", tags) if e.n != 0]
+    values = dict(entries)
+    orphans = sorted(tags.keys() - values.keys())
     if orphans:
         raise ParseError(f"{path}: provenance tags for n={orphans} that it holds no value for")
+    forged = [n for n, tag in tags.items()
+              if tag == PROVENANCE_BUILTIN and BUILTINS.get(n) != values[n]]
+    if forged:
+        raise ParseError(
+            f"{path}: builtin tags for n={forged} whose values the package does not ship")
     violation = _bounds_violation(entries)
     if violation is not None:
         raise ParseError(f"{path}: {violation}; the cache is corrupt")

@@ -209,31 +209,6 @@ class DecimalRoot(NamedTuple):
             s = "0" * (self.digits - len(s) + 1) + s
         return s[: len(s) - self.digits] + "." + s[len(s) - self.digits:]
 
-    def bracket_holds(self) -> bool:
-        """Re-certify the approximation by pure integer power comparison.
-
-        Floor mode: scaled**r <= R*10**(r*d) < (scaled+1)**r.
-        Nearest mode: the root lies within half an ulp, checked as
-        max(2*scaled - 1, 0)**r <= 2**r * R*10**(r*d) <= (2*scaled + 1)**r;
-        the clamp keeps an even r from turning (-1)**r into 1 at scaled 0.
-        """
-        target = self.radicand * 10 ** (self.degree * self.digits)
-        if self.mode == ROUND_FLOOR:
-            return self.scaled ** self.degree <= target < (self.scaled + 1) ** self.degree
-        doubled = target << self.degree
-        lo = max(2 * self.scaled - 1, 0)
-        hi = 2 * self.scaled + 1
-        return lo ** self.degree <= doubled <= hi ** self.degree
-
-    def ulp_bracket_holds(self) -> bool:
-        """Weaker certificate valid in both modes: root within one ulp.
-
-        (scaled-1)**r <= R*10**(r*d) <= (scaled+1)**r.
-        """
-        target = self.radicand * 10 ** (self.degree * self.digits)
-        lo = max(self.scaled - 1, 0)
-        return lo ** self.degree <= target <= (self.scaled + 1) ** self.degree
-
 
 def decimal_nth_root(radicand: int, degree: int, digits: int,
                      mode: str = ROUND_FLOOR) -> DecimalRoot:

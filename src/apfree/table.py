@@ -3,7 +3,9 @@
 The table maps n to the exact count of 3AP-free permutations of {1, ..., n}.
 Every entry is an arbitrary-precision integer tagged with where it came
 from: shipped with the package (builtin), produced by the counter in this
-process (computed), or read from an external data file (ingested).
+process (computed), or read from an external data file (ingested). The
+shipped values are one mapping, `BUILTINS` (n -> value): every table
+starts from it, and a cache's "builtin" tags are checked against it.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ BUILTIN_LARGE = {
     64: 39911512393313043466768,
     75: 30235147387260979648843264,
 }
+# All of them as one mapping n -> value.
+BUILTINS = {**dict(enumerate(BUILTIN_SMALL, start=1)), **BUILTIN_LARGE}
 
 
 class ThetaEntry(NamedTuple):
@@ -40,12 +44,9 @@ class ThetaTable:
     """
 
     def __init__(self, include_builtins: bool = True):
-        self.entries: dict[int, ThetaEntry] = {}
-        if include_builtins:
-            for i, v in enumerate(BUILTIN_SMALL, start=1):
-                self.entries[i] = ThetaEntry(v, PROVENANCE_BUILTIN)
-            for n, v in BUILTIN_LARGE.items():
-                self.entries[n] = ThetaEntry(v, PROVENANCE_BUILTIN)
+        builtins = BUILTINS if include_builtins else {}
+        self.entries: dict[int, ThetaEntry] = {
+            n: ThetaEntry(v, PROVENANCE_BUILTIN) for n, v in builtins.items()}
 
     def __contains__(self, n: int) -> bool:
         return n in self.entries

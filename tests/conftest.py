@@ -13,6 +13,7 @@ import pytest
 
 from apfree import ThetaTable, count_dp
 from apfree.cli import main as cli_main
+from apfree.roots import ROUND_FLOOR
 from apfree.table import PROVENANCE_COMPUTED
 
 TESTS_DIR = Path(__file__).parent
@@ -93,6 +94,30 @@ def pow2_newton_root(x, r):
     while (g + 1) ** r <= x:
         g += 1
     return g
+
+
+def bracket_holds(root):
+    """Re-certify a DecimalRoot by pure integer power comparison.
+
+    Floor mode: scaled**r <= R*10**(r*d) < (scaled+1)**r.
+    Nearest mode: the root lies within half an ulp, checked as
+    max(2*scaled - 1, 0)**r <= 2**r * R*10**(r*d) <= (2*scaled + 1)**r;
+    the clamp keeps an even r from turning (-1)**r into 1 at scaled 0.
+    """
+    r = root.degree
+    target = root.radicand * 10 ** (r * root.digits)
+    if root.mode == ROUND_FLOOR:
+        return root.scaled ** r <= target < (root.scaled + 1) ** r
+    lo = max(2 * root.scaled - 1, 0)
+    return lo ** r <= (target << r) <= (2 * root.scaled + 1) ** r
+
+
+def ulp_bracket_holds(root):
+    """Weaker certificate of a DecimalRoot valid in both modes: the root
+    lies within one ulp, (scaled-1)**r <= R*10**(r*d) <= (scaled+1)**r."""
+    r = root.degree
+    target = root.radicand * 10 ** (r * root.digits)
+    return max(root.scaled - 1, 0) ** r <= target <= (root.scaled + 1) ** r
 
 
 def real_bfile_path():

@@ -19,8 +19,9 @@ from apfree import (ThetaTable, certificate_text, check_global_bounds,
 from apfree.doubling import EVEN_BLOCK_FIRST, ODD_BLOCK_FIRST
 from apfree.roots import ROUND_FLOOR, ROUND_NEAREST
 from conftest import (COMPUTED_MID, FIXTURE_BFILE, PAPER_SMALL, THETA_64,
-                      THETA_75, real_bfile_path, requires_real_data,
-                      run_checker, run_cli)
+                      THETA_75, bracket_holds, real_bfile_path,
+                      requires_real_data, run_checker, run_cli,
+                      ulp_bracket_holds)
 
 
 def report(number, name):
@@ -199,8 +200,8 @@ def test_criterion_11_root_bracket_soundness(computed_table, real_table):
         digits = rng.randint(1, 12)
         value = tbl.value(n)
         floor_root = decimal_nth_root(value, n, digits, ROUND_FLOOR)
-        assert floor_root.bracket_holds()
+        assert bracket_holds(floor_root)
         nearest_root = decimal_nth_root(value, n, digits, ROUND_NEAREST)
-        assert nearest_root.bracket_holds()
-        assert nearest_root.ulp_bracket_holds()
+        assert bracket_holds(nearest_root)
+        assert ulp_bracket_holds(nearest_root)
     report(11, "100 random decimal roots carry exact power brackets")

@@ -63,6 +63,7 @@ class TestParseBFile:
             parse_bfile(p)
         assert exc.value.line == 2
         assert token not in str(exc.value)
+        assert "integer token of 5000 characters is too long" in str(exc.value)
 
 
 class TestIngest:
@@ -155,11 +156,18 @@ class TestSaveLoad:
         with pytest.raises(ParseError):
             load_table(path)
 
-    def test_load_conflicting_value_is_conflict_error(self, tmp_path):
+    @pytest.mark.parametrize("text", ["4 11\n", "#provenance 4 computed\n4 11\n",
+                                      "#provenance 4 ingested\n4 11\n"],
+                             ids=["untagged", "computed", "ingested"])
+    def test_load_conflicting_value_is_conflict_error(self, tmp_path, text):
+        # Only a "builtin" tag is checked against the builtins as the file
+        # is read; any other value that disagrees with them is a conflict.
         path = tmp_path / "cache.txt"
-        path.write_text("4 11\n")
-        with pytest.raises(ConflictError):
+        path.write_text(text)
+        with pytest.raises(ConflictError, match="n=4"):
             load_table(path)
+        code, out, _ = run_cli(["verify", "--cache", str(path)])
+        assert (code, out) == (1, "")
 
     def test_failed_load_commits_nothing(self, tmp_path):
         # n=12 is new and fine; n=13 conflicts and must stop the load
@@ -245,6 +253,35 @@ class TestSaveLoad:
             load_table(path)
         assert exc.value.line == 2
         assert token not in str(exc.value)
+        # Tag lines and value lines share one guard, and so one message.
+        assert "integer token of 5000 characters is too long" in str(exc.value)
+
+    def test_the_first_faulty_line_is_reported(self, tmp_path):
+        # Tag lines are checked where they stand, in the one pass that
+        # reads the values, so a bad tag on line 2 wins over a bad value
+        # on line 4.
+        path = tmp_path / "cache.txt"
+        path.write_text("#provenance 12 computed\n#provenance x computed\n12 6128\n13 x\n")
+        with pytest.raises(ParseError, match="^line 2: bad provenance line") as exc:
+            load_table(path)
+        assert exc.value.line == 2
+
+    @pytest.mark.parametrize("text,n", [
+        ("#provenance 13 builtin\n13 12840\n", 13),
+        ("#provenance 5 builtin\n5 21\n", 5),
+        (f"#provenance 5 builtin\n#provenance 64 builtin\n5 20\n64 {THETA_64 + 1}\n", 64),
+    ], ids=["n-not-shipped", "value-not-shipped", "large-value-not-shipped"])
+    def test_a_builtin_tag_must_name_a_shipped_value(self, tmp_path, text, n):
+        path = tmp_path / "cache.txt"
+        path.write_text(text)
+        tbl = ThetaTable()
+        before = tbl.items_sorted()
+        with pytest.raises(ParseError, match=rf"builtin tags for n=\[{n}\]"):
+            load_table(path, tbl)
+        assert tbl.items_sorted() == before
+        code, out, err = run_cli(["verify", "--cache", str(path)])
+        assert (code, out) == (2, "")
+        assert "builtin" in err and str(path) in err
 
     def test_a_save_is_one_file_and_one_rename(self, tmp_path, monkeypatch):
         path = tmp_path / "cache.txt"

@@ -10,7 +10,8 @@ from apfree import decimal_nth_root, nth_root_floor, roots
 from apfree.roots import (_EXACT_BITS, ROUND_FLOOR, ROUND_NEAREST,
                           _certifies_floor_root, _power_bracket, _truncated_power,
                           decimal_text)
-from conftest import THETA_64, THETA_75, pow2_newton_root
+from conftest import (THETA_64, THETA_75, bracket_holds, pow2_newton_root,
+                      ulp_bracket_holds)
 
 # The radicands behind the headline certificate limit(1) > limit(75).
 HEADLINE_RADICANDS = [(2 * THETA_64, 64), (21 * THETA_64, 64),
@@ -302,8 +303,17 @@ class TestDecimalRoot:
     @example(radicand=21 * THETA_75, degree=75, digits=200, mode=ROUND_NEAREST)
     def test_brackets_hold(self, radicand, degree, digits, mode):
         root = decimal_nth_root(radicand, degree, digits, mode)
-        assert root.bracket_holds()
-        assert root.ulp_bracket_holds()
+        assert bracket_holds(root)
+        assert ulp_bracket_holds(root)
+
+    @pytest.mark.parametrize("mode", [ROUND_FLOOR, ROUND_NEAREST])
+    def test_the_bracket_checks_reject_a_wrong_root(self, mode):
+        root = decimal_nth_root(2, 2, 6, mode)  # sqrt(2) = 1.41421356...
+        assert root.scaled == {ROUND_FLOOR: 1414213, ROUND_NEAREST: 1414214}[mode]
+        for off in (-1, 1):
+            assert not bracket_holds(root._replace(scaled=root.scaled + off))
+        for off in (-2, 2):
+            assert not ulp_bracket_holds(root._replace(scaled=root.scaled + off))
 
     @settings(deadline=None)
     @given(st.integers(min_value=0, max_value=10 ** 40),
@@ -322,8 +332,8 @@ class TestDecimalRoot:
     def test_brackets_hold_at_high_degree(self, degree, digits, mode):
         # A count of realistic size, about 2.3**n, as theta(n) would be.
         root = decimal_nth_root(23 ** degree // 10 ** degree, degree, digits, mode)
-        assert root.bracket_holds()
-        assert root.ulp_bracket_holds()
+        assert bracket_holds(root)
+        assert ulp_bracket_holds(root)
 
     @given(st.integers(min_value=1, max_value=10 ** 30),
            st.integers(min_value=1, max_value=40))
@@ -368,4 +378,4 @@ class TestSeededSweep:
             radicand = rng.getrandbits(rng.randint(1, 2 * r)) + 1
             for mode in (ROUND_FLOOR, ROUND_NEAREST):
                 root = decimal_nth_root(radicand, r, digits, mode)
-                assert root.bracket_holds(), (radicand, r, digits, mode)
+                assert bracket_holds(root), (radicand, r, digits, mode)
