@@ -128,9 +128,9 @@ def cmd_separate(args) -> int:
     m_high, t_high = _parse_mt(args.high)
     cert = growth.separate(m_low, t_low, m_high, t_high, tbl)
     text = growth.certificate_text(cert, digits=args.digits)
-    sys.stdout.write(text)
     if args.out is not None:
         Path(args.out).write_text(text, encoding="utf-8")
+    sys.stdout.write(text)
     return 0 if cert.separated else 1
 
 
@@ -174,12 +174,12 @@ def cmd_emit_figure(args) -> int:
 def cmd_ingest(args) -> int:
     tbl = _assemble_table(cache=args.cache)
     result = dataio.ingest_bfile(args.bfile, tbl)
-    print(f"ingested {len(result.added)} new entries, "
-          f"{len(result.matched)} matched existing, "
-          f"{len(result.skipped)} skipped")
+    lines = [f"ingested {len(result.added)} new entries, "
+             f"{len(result.matched)} matched existing, {len(result.skipped)} skipped"]
     if args.cache is not None:
         dataio.save_table(tbl, args.cache)
-        print(f"cache written to {args.cache}")
+        lines.append(f"cache written to {args.cache}")
+    print("\n".join(lines))
     return 0
 
 

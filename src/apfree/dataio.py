@@ -7,9 +7,8 @@ Two formats, both plain UTF-8 text with LF line endings:
     convention, and the persistent count cache deliberately uses the
     same grammar so caches and published data files interchange. A
     cache also carries one comment line "#provenance n tag" per entry,
-    n strictly ascending, which every other b-file reader skips. A cache
-    load reads its tag lines in the same one pass as its values, and a
-    "builtin" tag must name a value the package ships.
+    n >= 1 strictly ascending, which every other b-file reader skips. A
+    cache load reads its tag lines in the same one pass as its values.
   * figure data: lines "n root", where root is theta(n)^(1/n) rounded
     to a fixed number of decimal places, loadable by any two-column
     space-separated plot reader.
@@ -32,7 +31,7 @@ except ImportError:  # not POSIX
 from .errors import ConflictError, ParseError, ValueUnavailable
 from .growth import global_theta_bounds
 from .roots import ROUND_NEAREST, decimal_nth_root
-from .table import BUILTINS, PROVENANCE_BUILTIN, PROVENANCE_INGESTED, PROVENANCES, ThetaTable
+from .table import PROVENANCE_INGESTED, PROVENANCES, ThetaTable
 
 Source = Union[str, Path, TextIO, Iterable[str]]
 
@@ -79,8 +78,9 @@ def _parse_bfile_lines(lines: Iterable[str], where: str,
                        tags: Optional[dict[int, str]] = None) -> list[BFileEntry]:
     """The entries of b-file lines, each checked where it stands, so the
     first faulty line is the one reported. Given a `tags` dict, each
-    "#provenance n tag" line is checked there too, n strictly above the
-    tag line's before, and stored as tags[n] = tag; else it is a comment.
+    "#provenance n tag" line is checked there too, n >= 1 and strictly
+    above the tag line's before, and stored as tags[n] = tag; else it is
+    a comment.
     """
     entries: list[BFileEntry] = []
     last_n = None
@@ -91,6 +91,8 @@ def _parse_bfile_lines(lines: Iterable[str], where: str,
             if not (len(tokens) == 3 and _is_integer(tokens[1]) and tokens[2] in PROVENANCES):
                 raise ParseError(f"bad provenance line {line!r}{where}", line=lineno)
             n = _int(tokens[1], lineno, where)
+            if n < 1:
+                raise ParseError(f"bad provenance line {line!r}{where}", line=lineno)
             if tags and n <= next(reversed(tags)):
                 raise ParseError(f"bad provenance line {line!r}, n not strictly ascending,{where}",
                                  line=lineno)
@@ -208,34 +210,29 @@ def load_table(path: Union[str, Path], tbl: Optional[ThetaTable] = None) -> Thet
     they have none. The file is read once, line by line through one
     open, so the values and the tags come from the same save; a load
     takes no lock, as a save replaces the whole file by one rename. A
-    failing load leaves the table untouched: the first malformed line,
+    failing load leaves the table untouched. The first malformed line,
     value or tag, raises ParseError, as do a tag for an n the cache
-    holds no value for, a "builtin" tag on an n and value the package
-    does not ship, and a value outside the universal bounds for its n,
-    all before the table is touched; the entries then go through
-    `ThetaTable.merge`, so a value conflicting with one already in the
-    table raises ConflictError and adds nothing.
+    holds no value for and a value outside the universal bounds for its
+    n. The entries then go through `ThetaTable.merge`: a "builtin" tag
+    on a value the package does not ship raises ParseError, and a value
+    conflicting with one already in the table raises ConflictError.
     """
     if tbl is None:
         tbl = ThetaTable()
     tags: dict[int, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         entries = [e for e in _parse_bfile_lines(fh, f" in {path}", tags) if e.n != 0]
-    values = dict(entries)
-    orphans = sorted(tags.keys() - values.keys())
+    orphans = sorted(tags.keys() - {e.n for e in entries})
     if orphans:
         raise ParseError(f"{path}: provenance tags for n={orphans} that it holds no value for")
-    forged = [n for n, tag in tags.items()
-              if tag == PROVENANCE_BUILTIN and BUILTINS.get(n) != values[n]]
-    if forged:
-        raise ParseError(
-            f"{path}: builtin tags for n={forged} whose values the package does not ship")
     violation = _bounds_violation(entries)
     if violation is not None:
         raise ParseError(f"{path}: {violation}; the cache is corrupt")
-    tbl.merge((e.n, e.value, tags.get(e.n, PROVENANCE_INGESTED)) for e in entries)
+    try:  # the parser checked n, value and tag, so only a builtin claim is refused here
+        tbl.merge((e.n, e.value, tags.get(e.n, PROVENANCE_INGESTED)) for e in entries)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     return tbl
-
 
 def emit_figure_data(tbl: ThetaTable, n_max: int, sink: Union[str, Path, TextIO],
                      digits: int = FIGURE_DIGITS_DEFAULT) -> None:

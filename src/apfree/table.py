@@ -5,7 +5,8 @@ Every entry is an arbitrary-precision integer tagged with where it came
 from: shipped with the package (builtin), produced by the counter in this
 process (computed), or read from an external data file (ingested). The
 shipped values are one mapping, `BUILTINS` (n -> value): every table
-starts from it, and a cache's "builtin" tags are checked against it.
+starts from it, and `ThetaTable.merge`, the one way in, refuses a
+"builtin" entry it does not hold, whatever the entry's route.
 """
 
 from __future__ import annotations
@@ -19,16 +20,13 @@ PROVENANCE_COMPUTED = "computed"
 PROVENANCE_INGESTED = "ingested"
 PROVENANCES = (PROVENANCE_BUILTIN, PROVENANCE_COMPUTED, PROVENANCE_INGESTED)
 
-# Published exact counts shipped with the package: n = 1..11, plus the two
-# large reference values used by the default separation certificate.
-BUILTIN_SMALL = (1, 2, 4, 10, 20, 48, 104, 282, 496, 1066, 2460)
-BUILTIN_LARGE = {
+# Published exact counts shipped with the package, n -> value: n = 1..11,
+# plus the two large reference values of the default separation certificate.
+BUILTINS = {
+    1: 1, 2: 2, 3: 4, 4: 10, 5: 20, 6: 48, 7: 104, 8: 282, 9: 496, 10: 1066, 11: 2460,
     64: 39911512393313043466768,
     75: 30235147387260979648843264,
 }
-# All of them as one mapping n -> value.
-BUILTINS = {**dict(enumerate(BUILTIN_SMALL, start=1)), **BUILTIN_LARGE}
-
 
 class ThetaEntry(NamedTuple):
     value: int
@@ -80,13 +78,13 @@ class ThetaTable:
         """Add (n, value, provenance) entries, all or none, and return the
         n of the new ones in input order.
 
-        Every entry is checked before any is added. A bad n, value or
-        provenance raises ValueError; an entry that disagrees with one
-        already held, or with an earlier one in the batch, raises
-        ConflictError. An entry that matches one already held keeps the
-        held provenance and is not returned.
+        The whole batch is checked first: a bad n, value or provenance, or
+        a "builtin" entry not in `BUILTINS`, raises ValueError. Then an
+        entry that disagrees with one already held, or with an earlier one
+        in the batch, raises ConflictError. An entry that matches one
+        already held keeps the held provenance and is not returned.
         """
-        staged: dict[int, ThetaEntry] = {}
+        entries = list(entries)
         for n, value, provenance in entries:
             if n < 1:
                 raise ValueError(f"table keys are positive integers, got n={n}")
@@ -94,6 +92,11 @@ class ThetaTable:
                 raise ValueError(f"counts are nonnegative, got {value} for n={n}")
             if provenance not in PROVENANCES:
                 raise ValueError(f"unknown provenance {provenance!r}")
+        forged = [n for n, v, p in entries if p == PROVENANCE_BUILTIN and BUILTINS.get(n) != v]
+        if forged:
+            raise ValueError(f"builtin tags for n={forged} whose values the package does not ship")
+        staged: dict[int, ThetaEntry] = {}
+        for n, value, provenance in entries:
             existing = self.entries.get(n, staged.get(n))
             if existing is None:
                 staged[n] = ThetaEntry(value, provenance)

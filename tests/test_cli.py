@@ -289,6 +289,12 @@ class TestSeparate:
         assert code == 0
         assert out_path.read_text() == out
 
+    def test_a_failed_out_write_prints_nothing(self, tmp_path):
+        out_path = tmp_path / "missing" / "cert.txt"
+        code, out, err = run_cli(["separate", "--out", str(out_path)])
+        assert (code, out) == (2, "")
+        assert str(out_path) in err
+
     def test_non_separating_instance_exits_one(self):
         code, out, _ = run_cli(["separate", "--low", "1,0", "--high", "1,0"])
         assert code == 1
@@ -480,6 +486,12 @@ class TestIngest:
         code, out, _ = run_cli(["verify", "--cache", cache, "--max", "16"])
         assert code == 0
         assert "sandwich k=8: PASS" in out
+
+    def test_a_failed_cache_write_prints_nothing(self, tmp_path):
+        cache = tmp_path / "missing" / "cache.txt"
+        code, out, err = run_cli(["ingest", str(FIXTURE_BFILE), "--cache", str(cache)])
+        assert (code, out) == (2, "")
+        assert str(cache) in err
 
     def test_conflict_exits_one(self, tmp_path):
         bad = tmp_path / "bad.txt"

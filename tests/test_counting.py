@@ -582,6 +582,29 @@ class TestThetaTable:
         with pytest.raises(ValueError):
             tbl.insert(12, 6128, "hearsay")
 
+    @pytest.mark.parametrize("n,value", [(13, 12840), (5, 21)],
+                             ids=["n-not-shipped", "value-not-shipped"])
+    def test_insert_refuses_a_builtin_the_package_does_not_ship(self, n, value):
+        # (5, 21) also disagrees with the builtin theta(5) = 20; the claim
+        # is refused before the conflict is looked for.
+        tbl = ThetaTable()
+        before = tbl.items_sorted()
+        with pytest.raises(ValueError, match=rf"builtin tags for n=\[{n}\]"):
+            tbl.insert(n, value, PROVENANCE_BUILTIN)
+        assert tbl.items_sorted() == before
+
+    def test_a_shipped_builtin_may_be_inserted(self):
+        tbl = ThetaTable(include_builtins=False)
+        assert tbl.insert(64, THETA_64, PROVENANCE_BUILTIN) is True
+        assert tbl.provenance(64) == PROVENANCE_BUILTIN
+
+    def test_merge_checks_the_whole_batch_before_conflicts(self):
+        tbl = ThetaTable()
+        before = tbl.items_sorted()
+        with pytest.raises(ValueError, match=r"builtin tags for n=\[13\]"):
+            tbl.merge([(4, 11, PROVENANCE_COMPUTED), (13, 12840, PROVENANCE_BUILTIN)])
+        assert tbl.items_sorted() == before
+
     def test_merge_with_a_conflict_adds_nothing(self):
         tbl = ThetaTable()
         before = tbl.items_sorted()

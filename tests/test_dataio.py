@@ -160,8 +160,8 @@ class TestSaveLoad:
                                       "#provenance 4 ingested\n4 11\n"],
                              ids=["untagged", "computed", "ingested"])
     def test_load_conflicting_value_is_conflict_error(self, tmp_path, text):
-        # Only a "builtin" tag is checked against the builtins as the file
-        # is read; any other value that disagrees with them is a conflict.
+        # Only a "builtin" tag must name a shipped value (else exit 2);
+        # any other value that disagrees with the builtins is a conflict.
         path = tmp_path / "cache.txt"
         path.write_text(text)
         with pytest.raises(ConflictError, match="n=4"):
@@ -283,6 +283,28 @@ class TestSaveLoad:
         assert (code, out) == (2, "")
         assert "builtin" in err and str(path) in err
 
+    def test_a_builtin_claim_is_refused_before_a_conflict(self, tmp_path):
+        # 4 11 disagrees with the builtin theta(4) = 10, but the forged
+        # builtin tag on 13 is found first: exit 2, not a conflict's 1.
+        path = tmp_path / "cache.txt"
+        path.write_text("#provenance 4 computed\n#provenance 13 builtin\n4 11\n13 12840\n")
+        with pytest.raises(ParseError, match=r"builtin tags for n=\[13\]"):
+            load_table(path)
+        code, out, err = run_cli(["verify", "--cache", str(path)])
+        assert (code, out) == (2, "")
+        assert str(path) in err
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_a_tag_line_must_name_n_at_least_one(self, tmp_path, n):
+        path = tmp_path / "cache.txt"
+        path.write_text(f"#provenance {n} computed\n0 1\n")
+        with pytest.raises(ParseError, match="^line 1: bad provenance line") as exc:
+            load_table(path)
+        assert exc.value.line == 1
+        code, out, err = run_cli(["verify", "--cache", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 1: bad provenance line")
+
     def test_a_save_is_one_file_and_one_rename(self, tmp_path, monkeypatch):
         path = tmp_path / "cache.txt"
         tbl = ThetaTable(include_builtins=False)
@@ -306,7 +328,7 @@ class TestSaveLoad:
         tbl = ThetaTable(include_builtins=False)
         tbl.insert(12, 6128, PROVENANCE_COMPUTED)
         tbl.insert(13, 12840, PROVENANCE_INGESTED)
-        tbl.insert(14, 29380, PROVENANCE_BUILTIN)
+        tbl.insert(14, 29380, PROVENANCE_COMPUTED)
         save_table(tbl, cache)
         assert parse_bfile(cache) == [BFileEntry(n, e.value) for n, e in tbl.items_sorted()]
         code, _, _ = run_cli(["ingest", str(cache), "--cache", str(other)])

@@ -6,8 +6,7 @@ from apfree import (ThetaTable, ValueUnavailable, certificate_text,
                     monotone_report, separate, subsequence_point)
 from apfree.growth import doubling_points
 from apfree.roots import ROUND_FLOOR, decimal_nth_root
-from apfree.table import (BUILTIN_LARGE, BUILTIN_SMALL, PROVENANCE_COMPUTED,
-                          PROVENANCE_INGESTED)
+from apfree.table import BUILTINS, PROVENANCE_COMPUTED, PROVENANCE_INGESTED
 from conftest import THETA_64, THETA_75, bracket_holds, run_checker
 
 
@@ -176,8 +175,7 @@ class TestSeparate:
         tbl = ThetaTable(include_builtins=False)
         for n in range(1, 76):
             tbl.insert(n, count_dp(n), PROVENANCE_COMPUTED)
-        assert tuple(tbl.value(n) for n in range(1, 12)) == BUILTIN_SMALL
-        assert {n: tbl.value(n) for n in BUILTIN_LARGE} == BUILTIN_LARGE
+        assert {n: tbl.value(n) for n in BUILTINS} == BUILTINS
         # Each n as its point (m, t): n = m * 2^t with m odd.
         points = [(n >> t, t) for n in range(1, 76)
                   for t in [(n & -n).bit_length() - 1]]
