@@ -17,7 +17,7 @@ import sys
 import time
 from pathlib import Path
 
-from apfree import ThetaTable, load_table, save_table, theta
+from apfree import cli, load_table, save_table, theta
 
 
 def main():
@@ -32,10 +32,7 @@ def main():
         parser.error(f"--max must be >= --min, got {args.max} < {args.min}")
 
     cache = Path(args.cache)
-    cache.parent.mkdir(parents=True, exist_ok=True)
-    tbl = ThetaTable()
-    if cache.exists():
-        load_table(cache, tbl)
+    tbl = load_table(cache)
 
     wrote = False
     for n in range(args.min, args.max + 1):
@@ -59,4 +56,4 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(cli.run(main))

@@ -27,7 +27,7 @@ from .table import PROVENANCE_COMPUTED, ThetaTable
 
 def _assemble_table(cache=None, bfile=None) -> ThetaTable:
     tbl = ThetaTable()
-    if cache is not None and Path(cache).exists():
+    if cache is not None:
         dataio.load_table(cache, tbl)
     if bfile is not None:
         dataio.ingest_bfile(bfile, tbl)
@@ -263,16 +263,23 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
-def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+def run(command, *args) -> int:
+    """command(*args), or the exit status of the error it raises, printed
+    to stderr: 1 for a failed mathematical check, 2 for usage and I/O.
+    Any other exception propagates."""
     try:
-        return args.func(args)
+        return command(*args)
     except (ConflictError, ConstructionViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ApfreeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    return run(args.func, args)
 
 
 if __name__ == "__main__":

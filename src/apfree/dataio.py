@@ -166,6 +166,7 @@ def _bounds_violation(entries: list[BFileEntry]) -> Optional[str]:
 def save_table(tbl: ThetaTable, path: Union[str, Path]) -> None:
     """Merge the cache at `path` into the table, then write the table
     there as a b-file whose "#provenance n tag" lines precede its values.
+    The first save creates the cache and its directory.
 
     The merge is load_table into `tbl`, all or none through
     `ThetaTable.merge`: the table gains the entries that another writer
@@ -185,11 +186,11 @@ def save_table(tbl: ThetaTable, path: Union[str, Path]) -> None:
     the rename guards against a failed write, not against power loss.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(f"{path}.lock", "a") as lock:
         if fcntl is not None:
             fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
-        if path.exists():
-            load_table(path, tbl)
+        load_table(path, tbl)
         items = tbl.items_sorted()
         lines = [f"#provenance {n} {e.provenance}\n" for n, e in items]
         lines += [f"{n} {e.value}\n" for n, e in items]
@@ -205,6 +206,7 @@ def save_table(tbl: ThetaTable, path: Union[str, Path]) -> None:
 
 def load_table(path: Union[str, Path], tbl: Optional[ThetaTable] = None) -> ThetaTable:
     """Load a cache file into a table (a fresh builtin table by default).
+    A cache that is not there, file or directory, is empty.
 
     Entries get the tag of their "#provenance" line, and "ingested" when
     they have none. The file is read once, line by line through one
@@ -220,8 +222,11 @@ def load_table(path: Union[str, Path], tbl: Optional[ThetaTable] = None) -> Thet
     if tbl is None:
         tbl = ThetaTable()
     tags: dict[int, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        entries = [e for e in _parse_bfile_lines(fh, f" in {path}", tags) if e.n != 0]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            entries = [e for e in _parse_bfile_lines(fh, f" in {path}", tags) if e.n != 0]
+    except FileNotFoundError:
+        return tbl
     orphans = sorted(tags.keys() - {e.n for e in entries})
     if orphans:
         raise ParseError(f"{path}: provenance tags for n={orphans} that it holds no value for")

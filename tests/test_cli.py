@@ -43,6 +43,23 @@ class TestCount:
         code, out, _ = run_cli(["count", "12", "--cache", cache])
         assert (code, out) == (0, "6128\n")
 
+    def test_first_save_creates_the_cache_directory(self, tmp_path):
+        cache = tmp_path / "new" / "dir" / "c.txt"
+        assert run_cli(["count", "12", "--cache", str(cache)])[:2] == (0, "6128\n")
+        assert "#provenance 12 computed\n" in cache.read_text()
+
+    def test_an_unreadable_cache_fails_before_counting(self, tmp_path, monkeypatch):
+        (tmp_path / "F").touch()
+        cache = tmp_path / "F" / "c.txt"
+
+        def not_called(n):
+            raise AssertionError(f"counted theta({n}) before reading the cache")
+
+        monkeypatch.setattr(counting, "count_dp", not_called)
+        code, out, err = run_cli(["count", "12", "--cache", str(cache)])
+        assert (code, out) == (2, "")
+        assert str(cache) in err
+
     def test_mismatch_against_cache_fails(self, tmp_path):
         cache = tmp_path / "cache.txt"
         tbl = ThetaTable(include_builtins=False)
@@ -141,6 +158,18 @@ class TestComputeTheta:
         assert loaded.value(12) == COMPUTED_MID[12] == 6128
         assert loaded.provenance(12) == PROVENANCE_COMPUTED
         assert 13 not in loaded
+
+    @pytest.mark.parametrize("text, code, message", [
+        ("1 1\n2 x\n", 2, "error: line 2: non-integer token in '2 x'"),
+        ("8 283\n", 1, "error: n=8: new value 283 (ingested) disagrees with existing 282"),
+    ], ids=["malformed", "conflict"])
+    def test_a_bad_cache_exits_as_apfree_does(self, tmp_path, text, code, message):
+        cache = tmp_path / "c.txt"
+        cache.write_text(text)
+        proc = self.run_script("--max", "3", "--cache", str(cache))
+        assert (proc.returncode, proc.stdout) == (code, "")
+        assert proc.stderr.startswith(message)
+        assert cache.read_text() == text
 
     @pytest.mark.parametrize("bounds, message", [
         (["--min", "0"], "error: --min must be >= 1, got 0"),
@@ -488,7 +517,8 @@ class TestIngest:
         assert "sandwich k=8: PASS" in out
 
     def test_a_failed_cache_write_prints_nothing(self, tmp_path):
-        cache = tmp_path / "missing" / "cache.txt"
+        (tmp_path / "plain").touch()
+        cache = tmp_path / "plain" / "cache.txt"
         code, out, err = run_cli(["ingest", str(FIXTURE_BFILE), "--cache", str(cache)])
         assert (code, out) == (2, "")
         assert str(cache) in err

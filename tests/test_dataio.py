@@ -150,6 +150,21 @@ class TestSaveLoad:
         loaded = load_table(path)
         assert loaded.items_sorted() == ThetaTable().items_sorted()
 
+    @pytest.mark.parametrize("name", ["c.txt", "nowhere/c.txt"])
+    def test_a_cache_that_is_not_there_is_empty(self, tmp_path, name):
+        loaded = load_table(tmp_path / name)
+        assert loaded.items_sorted() == ThetaTable().items_sorted()
+        assert not (tmp_path / name).exists()
+
+    def test_a_cache_that_cannot_be_read_is_an_error(self, tmp_path):
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "plain").touch()
+        for path in (tmp_path / "dir", tmp_path / "plain" / "c.txt"):
+            with pytest.raises(OSError, match=str(path)):
+                load_table(path)
+            with pytest.raises(OSError):
+                save_table(ThetaTable(), path)
+
     def test_load_duplicate_n_is_parse_error(self, tmp_path):
         path = tmp_path / "cache.txt"
         path.write_text("12 6128\n12 6128\n")
