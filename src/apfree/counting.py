@@ -36,8 +36,10 @@ So every surviving prefix kills no unplaced value, and the number of
 ways to finish a prefix depends only on which values it holds, not
 on their order. The DP exploits this: placing v after the set P is legal
 iff no u in P has 2v - u still unplaced, and f(P), the number of legal
-orderings of P, is the sum over its legal last values. Three more facts
-make it fast.
+orderings of P, is the sum over its legal last values. One integer
+product per state finds every legal v: with P and the unplaced values
+spread to one byte per value, byte 2v counts the u in P with 2v - u
+unplaced (`_legality`). Three more facts make it fast.
 
 Reversal. Let U = [n] minus P. An ordering of U completes P iff no y in
 it has some x before it (in P or earlier in the ordering) and 2y - x
@@ -67,21 +69,24 @@ R(P) = {n+1-u : u in P} have the same f, and one is dead iff the other
 is. Each level keeps one key per mirror pair, the smaller bitmask.
 
 On one core of a 2-vCPU Intel Xeon with Python 3.11.7, theta(64) takes
-about 0.25 s at 15 MB peak RSS and theta(75) about 0.45 s at 15 MB; the
-full-depth DP without pruning took 414 s and 472 MB for theta(64).
+about 0.1 s at 15 MB peak RSS, theta(75) about 0.17 s at 15 MB and
+theta(128) about 1.4 s at 19 MB; the full-depth DP without pruning took
+414 s and 472 MB for theta(64).
 """
 
 from __future__ import annotations
 
 import collections
 from itertools import islice
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import OracleRangeExceeded
 from .perm import _first_3ap_lane
 from .table import PROVENANCE_COMPUTED, ThetaTable
 
 ORACLE_CEILING_DEFAULT = 10
+_SPREAD = bytes.maketrans(b"01b", b"\0\1\0")  # bin(x) to one byte lane per bit
+_FREE = bytes([49] + [48] * 255)  # byte 0 to "1", any other to "0"
 
 
 def _check_count_args(n: int) -> None:
@@ -252,18 +257,50 @@ def count_verified(n: int) -> int:
     return total
 
 
+def _legality(n: int) -> Callable[[Iterable[int]], list[int]]:
+    """The function that maps placed sets P to the bitmasks of their legal
+    next values: v unplaced such that no u in P has 2v - u unplaced.
+
+    sp spreads P to one byte lane per value (bin's order needs no
+    reversal), and each mask in `runs` spreads a run R of values alike, so
+    lane s of (run - (sp & run)) * sp counts the u in P with s - u
+    unplaced and in R: at most one per value of R, and at most one per
+    pair {x, s - x}, as P and U are disjoint, so at most min(|R|, n // 2).
+    R is all of [n] while n <= 511, and at most 255 values past that, so
+    every lane is below 256 and no byte carries. v is legal iff lane 2v of
+    every run's product is 0, and _FREE reads the even lanes as bits.
+    """
+    full = (1 << n + 1) - 2
+    size = 2 * n + 1
+    step = n if n < 512 else 255
+    runs = [((1 << 8 * min(lo + step, n + 1)) - (1 << 8 * lo)) // 255
+            for lo in range(1, n + 1, step)]
+
+    def legal(keys: Iterable[int]) -> list[int]:
+        out = []
+        for placed in keys:
+            sp = int.from_bytes(bin(placed).encode().translate(_SPREAD), "big")
+            m = full ^ placed
+            for run in runs:
+                lanes = ((run - (sp & run)) * sp).to_bytes(size, "big")
+                m &= int(lanes[0::2].translate(_FREE), 2)
+            out.append(m)
+        return out
+
+    return legal
+
+
 def _dp_levels(n: int) -> Iterator[tuple[dict[int, int], dict[int, int]]]:
     """Yield (level k, reflections) for k = 0..ceil(n/2).
 
     Level k maps the smaller key P of each mirror pair of k-sets to its
     legal orderings, and the reflections map P to R(P), bit n+1-u for
-    each u in P; a child P | 1 << v has R | 1 << (n+1-v). R shifted left
-    by 2v-n-1 is {2v-u : u in P}, the values that placing v after P
-    would kill, so placing v is legal iff that set misses every unplaced
-    value. Expanding P stands for R(P) too, whose children mirror P's:
-    a child's paths go to the smaller of it and its mirror, a self-mirror
-    child gets them from both P and R(P), and a self-mirror P skips the
-    children whose mirror is smaller, which the same step reaches.
+    each u in P; a child P | 1 << v has R | rbit[v]. `_legality` gives
+    the values v that can follow P. Expanding P stands for R(P) too,
+    whose children mirror P's: a child's paths go to the smaller of it
+    and its mirror, a self-mirror child gets them from both P and R(P),
+    and a self-mirror P skips the children whose mirror is smaller,
+    which the same step reaches.
 
     A child new to its level is kept unless placing v split it (module
     docstring): `ends[v]` pairs the mask of v+d, v+2d and v+3d with the
@@ -271,9 +308,10 @@ def _dp_levels(n: int) -> Iterator[tuple[dict[int, int], dict[int, int]]]:
     parent holds v+3d but neither middle value. Every legal parent of a
     kept state is kept, so its count is unpruned.
     """
-    full = (1 << (n + 1)) - 2
-    offset = n + 3  # shift = 2v - n - 1, where b = 1 << v has bit_length v + 1
-    ends = [[(1 << v + d | 1 << v + 2 * d | 1 << v + 3 * d, 1 << v + 3 * d)
+    legal = _legality(n)
+    bit = [1 << v for v in range(n + 2)]
+    rbit = bit[::-1]
+    ends = [[(bit[v + d] | bit[v + 2 * d] | bit[v + 3 * d], bit[v + 3 * d])
              for d in range(-((v - 1) // 3), (n - v) // 3 + 1) if d]
             for v in range(n + 1)]
     level = {0: 1}
@@ -282,20 +320,15 @@ def _dp_levels(n: int) -> Iterator[tuple[dict[int, int], dict[int, int]]]:
     for _ in range((n + 1) // 2):
         nxt: dict[int, int] = {}
         nrefls: dict[int, int] = {}
-        for placed, paths in level.items():
+        for (placed, paths), m in zip(level.items(), legal(level)):
             refl = refls[placed]
             symmetric = refl == placed
-            unplaced = full ^ placed
-            m = unplaced
             while m:
                 b = m & -m
                 m ^= b
-                shift = 2 * b.bit_length() - offset
-                if (refl << shift if shift >= 0 else refl >> -shift) & unplaced:
-                    continue
                 v = b.bit_length() - 1
                 key = placed | b
-                mirror = refl | 1 << (n + 1 - v)
+                mirror = refl | rbit[v]
                 gain = paths
                 if mirror < key:
                     if symmetric:

@@ -19,6 +19,7 @@ file supplied by the caller.
 
 from __future__ import annotations
 
+import errno
 import os
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, TextIO, Union
@@ -166,7 +167,8 @@ def _bounds_violation(entries: list[BFileEntry]) -> Optional[str]:
 def save_table(tbl: ThetaTable, path: Union[str, Path]) -> None:
     """Merge the cache at `path` into the table, then write the table
     there as a b-file whose "#provenance n tag" lines precede its values.
-    The first save creates the cache and its directory.
+    The first save creates the cache and its directory; an error doing so
+    names the cache path, a regular file in it as NotADirectoryError.
 
     The merge is load_table into `tbl`, all or none through
     `ThetaTable.merge`: the table gains the entries that another writer
@@ -186,7 +188,11 @@ def save_table(tbl: ThetaTable, path: Union[str, Path]) -> None:
     the rename guards against a failed write, not against power loss.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # name the cache, not the directory
+        code = errno.ENOTDIR if isinstance(exc, FileExistsError) else exc.errno
+        raise OSError(code, os.strerror(code), str(path)) from exc
     with open(f"{path}.lock", "a") as lock:
         if fcntl is not None:
             fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes

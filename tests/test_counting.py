@@ -11,7 +11,8 @@ from apfree import (ConflictError, OracleRangeExceeded, ThetaTable,
                     ValueUnavailable, count_dp, count_oracle, count_pruned,
                     count_verified, counting, free_permutations, is_3ap_free,
                     theta, validate)
-from apfree.counting import _children, _completions, _dp_levels, _kill_masks
+from apfree.counting import (_children, _completions, _dp_levels, _kill_masks,
+                             _legality)
 from apfree.perm import values_3ap_free
 from apfree.table import (PROVENANCE_BUILTIN, PROVENANCE_COMPUTED,
                           PROVENANCE_INGESTED)
@@ -274,14 +275,12 @@ class TestSubsetDP:
         # Every backtracker output re-tested by perm's 3AP test.
         assert count_verified(n) == count_dp(n)
 
-    @pytest.mark.slow
     def test_recomputes_builtin_theta_64(self):
-        # About 0.25 s and 15 MB peak RSS on one core; opt in with -m slow.
+        # About 0.1 s and 15 MB peak RSS on one core.
         assert count_dp(64) == THETA_64
 
-    @pytest.mark.slow
     def test_recomputes_builtin_theta_75(self):
-        # About 0.45 s and 15 MB peak RSS on one core; opt in with -m slow.
+        # About 0.17 s and 15 MB peak RSS on one core.
         assert count_dp(75) == THETA_75
 
 
@@ -382,6 +381,28 @@ class TestSubsetDPSoundness:
         for k in range(n + 1):
             assert sum(paths * ref[n - k].get(full ^ placed, 0)
                        for placed, paths in ref[k].items()) == PAPER_SMALL_AND_MID[n]
+
+    @pytest.mark.parametrize("n", [*range(1, 41), 511, 512, 513, 545, 600])
+    def test_legal_values_match_the_definition(self, n):
+        # v is legal after P iff v is unplaced and no u in P has 2v - u
+        # unplaced, tested u by u. Past n = 511 a byte lane over all of [n]
+        # would carry: the prefix sets put 256 or more pairs in one lane.
+        rng = random.Random(n)
+        sets = [0, (1 << n + 1) - 2]
+        sets += [rng.getrandbits(n + 1) & ~1 for _ in range(40 if n < 100 else 6)]
+        sets += [sum(1 << u for u in range(1, k + 1)) for k in (n // 3, n // 2, n // 2 + 1)]
+        for placed, legal in zip(sets, _legality(n)(sets)):
+            unplaced = {v for v in range(1, n + 1) if not placed >> v & 1}
+            want = sum(1 << v for v in unplaced
+                       if not any(2 * v - u in unplaced
+                                  for u in range(1, n + 1) if placed >> u & 1))
+            assert legal == want, (n, placed)
+
+    @pytest.mark.parametrize("n, keys", [(24, 822), (32, 1843), (64, 13011)])
+    def test_kept_keys_are_a_fixed_work_count(self, n, keys):
+        # The DP's work does not depend on the machine: the keys it keeps
+        # over levels 0..ceil(n/2).
+        assert sum(len(level) for level, _ in _dp_levels(n)) == keys
 
     def test_dead_states_are_dropped(self):
         # At n = 24, 96% of the reachable states are dead. Levels 0..12

@@ -169,7 +169,7 @@ class TestSeparate:
 
     @pytest.mark.slow
     def test_the_papers_pair_is_the_only_one_through_75(self):
-        # theta(1..75) recomputed by the subset DP, about 13 s on one core;
+        # theta(1..75) recomputed by the subset DP, about 3 s on one core;
         # opt in with -m slow. Of the ordered pairs of points n <= 75 with
         # different odd parts, only 64 against 75 separates.
         tbl = ThetaTable(include_builtins=False)
