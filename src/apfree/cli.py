@@ -165,6 +165,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_emit_figure(args) -> int:
+    if args.max < 1:
+        raise ApfreeError(f"--max must be >= 1, got {args.max}")
     tbl = _assemble_table(cache=args.cache, bfile=args.bfile)
     dataio.emit_figure_data(tbl, args.max, sys.stdout if args.out is None else args.out,
                             digits=args.digits)

@@ -114,8 +114,8 @@ def count_oracle(n: int, ceiling: int = ORACLE_CEILING_DEFAULT) -> int:
     _check_count_args(n)
     if n > ceiling:
         raise OracleRangeExceeded(
-            f"oracle ceiling is {ceiling}, asked for n={n}; "
-            f"raise `ceiling` explicitly if you really want this"
+            f"oracle ceiling is {ceiling}, asked for n={n}; the subset DP counts "
+            f"any n (`count_dp`, or `apfree count` without `--oracle`)"
         )
     return _insert(0, n, ())
 

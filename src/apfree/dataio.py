@@ -245,6 +245,7 @@ def load_table(path: Union[str, Path], tbl: Optional[ThetaTable] = None) -> Thet
         raise ParseError(f"{path}: {exc}") from None
     return tbl
 
+
 def emit_figure_data(tbl: ThetaTable, n_max: int, sink: Union[str, Path, TextIO],
                      digits: int = FIGURE_DIGITS_DEFAULT) -> None:
     """Write "n theta(n)^(1/n)" lines for n = 1..n_max, ascending.

@@ -7,7 +7,9 @@ guess, one certificate, then one descent from above. A float seeds the
 guess, which climbs a ladder of precisions that roughly doubles at each
 level, with one Newton step per level on a power truncated to that level's
 precision. The guess t is the floor root of x when t**r <= x < t**r +
-r*t**(r-1), since (t+1)**r - t**r >= r*t**(r-1).
+r*t**(r-1), since (t+1)**r - t**r >= r*t**(r-1). Every truncated power
+comes from one bracket, `_power_bracket`, which powers left to right,
+keeps the top bits of each step, and bounds the power from both sides.
 
 `nth_root_floor` runs that test exactly: t**(r-1) and t**r are computed
 in full. `decimal_nth_root` roots 2**r * R * 10**(r*d), which is R * 5**(r*d)
@@ -82,9 +84,10 @@ def _certifies_floor_root(t: int, r: int, lo: int, hi: int, s: int) -> bool:
     """True only if t is the floor rth root of every x with lo * 2**s <= x
     <= hi * 2**s, decided from t**(r-1) bracketed at about t's precision.
 
-    With m * 2**e <= t**(r-1) <= top * 2**e from `_power_bracket`, the
-    test is top*t <= (lo * 2**s) >> e and (hi * 2**s) >> e < (t+r)*m. The
-    first gives t**r <= top * 2**e * t <= lo * 2**s <= x; the second gives
+    With m * 2**e <= t**(r-1) <= top * 2**e from `_power_bracket`, one
+    left-to-right power cut to t's bit length plus a guard, the test is
+    top*t <= (lo * 2**s) >> e and (hi * 2**s) >> e < (t+r)*m. The first
+    gives t**r <= top * 2**e * t <= lo * 2**s <= x; the second gives
     x <= hi * 2**s < (t+r) * m * 2**e <= t**r + r*t**(r-1) <= (t+1)**r.
     False says only that the bracket could not decide.
     """
@@ -126,51 +129,35 @@ def _root_guess(x: int, r: int) -> int:
     for level in reversed(levels):
         g <<= level - b
         b = level
-        m, e = _truncated_power(g, r - 1, b + guard)
+        m, _, e = _power_bracket(g, r - 1, b + guard)
         shift = r * (b - bits) - e  # X // (m * 2**e) is (x << shift) // m
         g = ((r - 1) * g + _shifted(x, shift) // m) // r
     return max(g >> guard, 1)
 
 
-def _truncated_power(g: int, k: int, prec: int) -> tuple[int, int]:
-    """(m, e) with m * 2**e <= g**k, by binary powering that keeps only
-    the top `prec` bits of each product and counts the dropped bits in e.
-
-    Each cut loses less than a factor 1 - 2**(1 - prec). A cut in the
-    product is not raised again, and one in the jth square reaches the
-    result raised to at most k / 2**j, so m * 2**e is within a factor
-    (1 - 2**(1 - prec))**(2*k) of g**k: the lower side of the bracket
-    `_power_bracket` closes from above. Every cut adds to e, as the last
-    square is always multiplied into m, so e = 0 exactly when m = g**k.
-    """
-    m, e, base_e = 1, 0, 0
-    while True:
-        if k & 1:
-            m *= g
-            e += base_e
-            cut = max(m.bit_length() - prec, 0)
-            m >>= cut
-            e += cut
-        k >>= 1
-        if not k:
-            return m, e
-        g *= g
-        base_e *= 2
-        cut = max(g.bit_length() - prec, 0)
-        g >>= cut
-        base_e += cut
-
-
 def _power_bracket(g: int, k: int, prec: int) -> tuple[int, int, int]:
     """(m, hi, e) with m * 2**e <= g**k <= hi * 2**e, for prec >=
-    k.bit_length() + 3; `prec` bounds the bits of m as in `_truncated_power`.
+    k.bit_length() + 3, by binary powering from the top bit of k.
 
-    (m, e) is `_truncated_power(g, k, prec)`, and hi = m when e = 0, as then
-    m = g**k. Otherwise, with y = 4*k / 2**prec <= 1/2, Bernoulli's
-    inequality gives g**k <= m * 2**e / (1 - y) <= m * 2**e * (1 + 2*y),
-    and hi = m + (8*k*m >> prec) + 1 exceeds m * (1 + 2*y).
+    Each step squares m, multiplies it by g on a 1 bit, and keeps the top
+    `prec` bits: the cut is added to e after e is doubled. A cut loses
+    less than a factor 1 - 2**(1 - prec), and one made at step j is
+    squared at every later step, so with L + 1 the bit length of k the
+    cuts' exponents sum to at most 2**(L+1) - 1 < 2*k, and m * 2**e is
+    within a factor (1 - 2**(1 - prec))**(2*k) of g**k. A cut doubles at
+    every later square, so e = 0 exactly when m = g**k, and then hi = m.
+    Otherwise, with y = 4*k / 2**prec <= 1/2, Bernoulli's inequality
+    gives g**k <= m * 2**e / (1 - y) <= m * 2**e * (1 + 2*y), and
+    hi = m + (8*k*m >> prec) + 1 exceeds m * (1 + 2*y).
     """
-    m, e = _truncated_power(g, k, prec)
+    m, e = 1, 0
+    for i in range(k.bit_length() - 1, -1, -1):
+        m *= m
+        if k >> i & 1:
+            m *= g
+        cut = max(m.bit_length() - prec, 0)
+        m >>= cut
+        e = 2 * e + cut
     return m, (m + (8 * k * m >> prec) + 1 if e else m), e
 
 

@@ -28,6 +28,7 @@ BUILTINS = {
     75: 30235147387260979648843264,
 }
 
+
 class ThetaEntry(NamedTuple):
     value: int
     provenance: str

@@ -28,7 +28,8 @@ class TestCount:
     def test_oracle_ceiling_is_enforced(self):
         code, _, err = run_cli(["count", "11", "--oracle"])
         assert code == 2
-        assert "oracle ceiling" in err
+        assert "oracle ceiling is 10" in err
+        assert "`ceiling`" not in err  # a CLI user has no keyword to raise
 
     def test_jobs_variants(self):
         baseline = run_cli(["count", "9"])
@@ -504,6 +505,11 @@ class TestEmitFigure:
                                 "--bfile", str(FIXTURE_BFILE)])
         assert code == 0
         assert len(out.splitlines()) == 16
+
+    def test_max_below_one_is_usage_error(self):
+        code, out, err = run_cli(["emit-figure", "--max", "0"])
+        assert (code, out) == (2, "")
+        assert err == "error: --max must be >= 1, got 0\n"
 
 
 class TestIngest:

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from apfree import decimal_nth_root, nth_root_floor, roots
 from apfree.roots import (_EXACT_BITS, ROUND_FLOOR, ROUND_NEAREST,
-                          _certifies_floor_root, _power_bracket, _truncated_power,
-                          decimal_text)
+                          _certifies_floor_root, _power_bracket, decimal_text)
 from conftest import (THETA_64, THETA_75, bracket_holds, pow2_newton_root,
                       ulp_bracket_holds)
 
@@ -194,10 +193,15 @@ class TestGuessThenCheck:
     @given(st.integers(min_value=1, max_value=2 ** 300),
            st.integers(min_value=0, max_value=80),
            st.integers(min_value=0, max_value=120))
+    @example(g=2 ** 300 - 1, k=0, extra=0)  # g**0 = 1 is exact: (1, 1, 0)
+    @example(g=2 ** 300 - 1, k=1, extra=0)  # g is wider than prec: cut at the first step
     def test_power_bracket_holds_and_is_exact_without_cuts(self, g, k, extra):
         prec = k.bit_length() + 3 + extra
         m, hi, e = _power_bracket(g, k, prec)
-        assert (m, e) == _truncated_power(g, k, prec)
+        if k == 0:
+            assert (m, hi, e) == (1, 1, 0)
+        if k and g.bit_length() > prec:
+            assert e > 0 and m.bit_length() <= prec
         assert m << e <= g ** k <= hi << e
         assert (hi == m) == (e == 0)
         assert e or m == g ** k
@@ -243,7 +247,7 @@ class TestGuessThenCheck:
            st.integers(min_value=1, max_value=80),
            st.integers(min_value=1, max_value=120))
     def test_truncated_power_is_a_close_lower_bound(self, g, k, prec):
-        m, e = _truncated_power(g, k, prec)
+        m, _, e = _power_bracket(g, k, prec)
         exact = g ** k
         assert (e, m) == (0, exact) or m.bit_length() <= prec
         # m * 2**e <= g**k, within a factor (1 - 2**(1 - prec))**(2*k).
